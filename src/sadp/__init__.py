@@ -1,8 +1,8 @@
 """Desk-scale spiking network training lab with spike-aware data pruning."""
 
 from .data import DatasetHandle, gen_synthetic, gen_synthetic_split
-from .pruning import (EpochPlan, ProbabilityAssignment, PruneConfig, ScoreTable,
-                      loss_score, loss_weights, sample_mask, schedule_ratio,
+from .pruning import (ProbabilityAssignment, PruneConfig, ScoreTable, loss_score,
+                      loss_weights, sample_mask, schedule_ratio,
                       smooth_probabilities, solve_probabilities,
                       spike_aware_score)
 from .snn import (BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
@@ -11,7 +11,7 @@ from .snn import (BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
 from .training import OptimizerState, TrainState, cosine_lr, run_training, sgd_step
 
 __all__ = [
-    "BackwardTrace", "DatasetHandle", "EpochPlan", "ForwardTrace", "LayerSpec",
+    "BackwardTrace", "DatasetHandle", "ForwardTrace", "LayerSpec",
     "LossOutput", "NeuronConfig", "Network", "OptimizerState",
     "ProbabilityAssignment", "PruneConfig", "ScoreTable", "TrainState",
     "backward_bptt", "cosine_lr", "forward", "gen_synthetic",

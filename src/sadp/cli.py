@@ -125,7 +125,7 @@ def cmd_train(cfg: RunConfig) -> int:
                          weight_decay=cfg["train.weight_decay"],
                          schedule=cfg["train.lr_schedule"])
     state = TrainState(epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
-                       seed_init=cfg["seed.init"], seed_sample=cfg["seed.sample"],
+                       seed_sample=cfg["seed.sample"],
                        seed_shuffle=cfg["seed.shuffle"])
     metrics = run_training(net, train, test, ncfg, _prune_config(cfg), opt, state,
                            score_layers=parse_score_layers(cfg["score.layers"],
@@ -140,11 +140,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    passed, lines, corr_rows = verify.run_suite(seed=cfg["seed.init"])
+    passed, lines = verify.run_suite(seed=cfg["seed.init"])
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     atomic_write_bytes(cfg["out.report"], report.encode())
-    atomic_write_bytes(cfg["out.metrics"], ("\n".join(corr_rows) + "\n").encode())
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -159,16 +158,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
     target = int(round((1.0 - cfg["prune.ratio"]) * n))
     beta = cfg["prune.beta"]
     rows = ["method,variance"]
-    for name, scores in (("spike_aware", rep.scores),
-                         ("loss", None),
+    for name, scores in (("spike_aware", rep.scores), ("loss", rep.losses),
                          ("uniform", None)):
-        if name == "uniform":
+        if scores is None:
             p = np.full(n, target / n)
         else:
-            if name == "loss":
-                _, fb = oracle.per_example_gradients(net, train.data, train.labels,
-                                                     ncfg)
-                scores = np.asarray(fb.loss.per_example_loss)
             p = smooth_probabilities(scores + 1e-12, target, beta).probabilities
         p = np.clip(p, 1e-9, 1.0)
         rows.append(f"{name},{oracle.variance_formula(rep.full_norms, p, n):.10g}")

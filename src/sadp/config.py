@@ -53,7 +53,6 @@ KNOWN_KEYS: dict[str, tuple] = {
     "out.metrics": (str, "metrics.csv"),
     "out.weights": (str, "weights.npz"),
     "out.report": (str, "report.txt"),
-    "workers": (int, 1),
 }
 
 # Smoothing constant and max ratio anchors per pruning ratio; unspecified

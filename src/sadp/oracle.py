@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pruning import ProbabilityAssignment, spike_aware_score
-from .snn import Array, NeuronConfig, Network, backward_bptt, forward
+from .snn import (Array, BackwardTrace, ForwardTrace, LossOutput, NeuronConfig,
+                  Network, backward_bptt, forward)
 
 MASK_CHUNK = 2000
 
@@ -33,6 +34,7 @@ class GradNormReport:
     restricted_norms: Array  # exact norm restricted to score_layers
     scores: Array            # spike-aware bound over score_layers
     ratios: Array            # scores / restricted_norms
+    losses: Array            # per-example loss
 
 
 @dataclass
@@ -53,43 +55,34 @@ class CorrelationReport:
 
 def per_example_gradients(net: Network, data: Array, labels: Array,
                           cfg: NeuronConfig, smooth: bool = False
-                          ) -> tuple[list[Array], "ForwardBackward"]:
+                          ) -> tuple[ForwardTrace, LossOutput, BackwardTrace]:
+    """Forward and backward pass over a batch; the per-example weight
+    gradients are in the returned trace's per_example_grads."""
     trace, loss = forward(net, data, labels, cfg, smooth=smooth)
-    btrace = backward_bptt(net, trace, loss, cfg)
-    return btrace.per_example_grads, _FB(trace, loss, btrace)
-
-
-@dataclass
-class _FB:
-    trace: object
-    loss: object
-    btrace: object
-
-
-# Alias used in the public signature above.
-ForwardBackward = _FB
+    return trace, loss, backward_bptt(net, trace, loss, cfg)
 
 
 def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
                      score_layers: tuple[int, ...],
                      apply_patch_factor: bool | None = None) -> GradNormReport:
     """Exact per-example gradient norms plus the spike-aware bound."""
-    grads, fb = per_example_gradients(net, data, labels, cfg)
+    trace, loss, btrace = per_example_gradients(net, data, labels, cfg)
     n = data.shape[0]
     sq_full = np.zeros(n)
     sq_restricted = np.zeros(n)
-    for l, g in enumerate(grads):
+    for l, g in enumerate(btrace.per_example_grads):
         sq = (g.reshape(n, -1) ** 2).sum(axis=1)
         sq_full += sq
         if l in score_layers:
             sq_restricted += sq
-    scores = spike_aware_score(fb.btrace, fb.trace, score_layers,
+    scores = spike_aware_score(btrace, trace, score_layers,
                                apply_patch_factor=apply_patch_factor)
     restricted = np.sqrt(sq_restricted)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(restricted > 0, scores / restricted, np.inf)
     return GradNormReport(full_norms=np.sqrt(sq_full), restricted_norms=restricted,
-                          scores=scores, ratios=ratios)
+                          scores=scores, ratios=ratios,
+                          losses=loss.per_example_loss)
 
 
 def solve_probabilities_sorted(scores: Array, target_size: float
@@ -150,7 +143,7 @@ def estimator_stats(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    grads, _ = per_example_gradients(net, data, labels, cfg)
+    grads = per_example_gradients(net, data, labels, cfg)[2].per_example_grads
     n = data.shape[0]
     flat = np.concatenate([g.reshape(n, -1) for g in grads], axis=1)
     g_full = flat.mean(axis=0)
@@ -204,9 +197,8 @@ def fd_gradient_check(net: Network, data: Array, labels: Array, cfg: NeuronConfi
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon outside [1e-7, 1e-3]")
     rng = np.random.default_rng(seed)
-    trace, loss = forward(net, data, labels, cfg, smooth=True)
-    btrace = backward_bptt(net, trace, loss, cfg)
-    analytic = btrace.weight_grads()
+    analytic = per_example_gradients(net, data, labels, cfg,
+                                     smooth=True)[2].weight_grads()
 
     def mean_loss(candidate: Network) -> float:
         _, lo = forward(candidate, data, labels, cfg, smooth=True)
@@ -237,17 +229,18 @@ def fd_gradient_check(net: Network, data: Array, labels: Array, cfg: NeuronConfi
 
 
 def project_to_capped_simplex(v: Array, total: float, iters: int = 100) -> Array:
-    """Project onto {p : sum p = total, 0 <= p <= 1} by bisection on a shift."""
+    """Project onto {p : sum p = total, 0 <= p <= 1} by bisection on a shift.
+
+    Works along the last axis: v is one vector or a batch of rows.
+    """
     v = np.asarray(v, dtype=np.float64)
-    lo = v.min() - 1.0 - total
-    hi = v.max() + 1.0
+    lo = v.min(axis=-1, keepdims=True) - 1.0 - total
+    hi = v.max(axis=-1, keepdims=True) + 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        s = np.clip(v - mid, 0.0, 1.0).sum()
-        if s > total:
-            lo = mid
-        else:
-            hi = mid
+        over = np.clip(v - mid, 0.0, 1.0).sum(axis=-1, keepdims=True) > total
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
     return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 
 
@@ -257,11 +250,12 @@ def measure_correlations(net: Network, data: Array, labels: Array,
     """Pearson correlation of spike-aware scores and losses vs exact norms."""
     if score_layers is None:
         score_layers = tuple(range(len(net)))
-    grads, fb = per_example_gradients(net, data, labels, cfg)
+    trace, loss, btrace = per_example_gradients(net, data, labels, cfg)
     n = data.shape[0]
-    norms = np.sqrt(sum((g.reshape(n, -1) ** 2).sum(axis=1) for g in grads))
-    scores = spike_aware_score(fb.btrace, fb.trace, score_layers)
-    losses = np.asarray(fb.loss.per_example_loss)
+    norms = np.sqrt(sum((g.reshape(n, -1) ** 2).sum(axis=1)
+                        for g in btrace.per_example_grads))
+    scores = spike_aware_score(btrace, trace, score_layers)
+    losses = np.asarray(loss.per_example_loss)
     return CorrelationReport(score_vs_norm=pearson(scores, norms),
                              loss_vs_norm=pearson(losses, norms),
                              sample_size=n)

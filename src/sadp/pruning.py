@@ -4,7 +4,7 @@ smoothing, the dynamic pruning schedule, Bernoulli sampling, and loss weights.""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,15 +74,6 @@ class ProbabilityAssignment:
     alpha: float = 0.0
     clipped_count: int = 0
     iterations: int = 0
-
-
-@dataclass
-class EpochPlan:
-    epoch: int
-    ratio: float
-    target_size: int
-    mask: Array
-    selected_indices: Array
 
 
 def spike_aware_score(btrace: BackwardTrace, ftrace: ForwardTrace,
@@ -258,13 +249,6 @@ def sample_mask(assignment: ProbabilityAssignment, seed) -> Array:
     p = assignment.probabilities
     rng = np.random.default_rng(seed)
     return (rng.random(p.size) < p).astype(np.int64)
-
-
-def make_plan(epoch: int, ratio: float, target_size: int,
-              assignment: ProbabilityAssignment, seed) -> EpochPlan:
-    mask = sample_mask(assignment, seed)
-    return EpochPlan(epoch=epoch, ratio=ratio, target_size=target_size,
-                     mask=mask, selected_indices=np.flatnonzero(mask))
 
 
 def loss_weights(assignment: ProbabilityAssignment, mask: Array, n: int,

@@ -241,15 +241,19 @@ class LossOutput:
     labels: Array            # (batch,) int
 
 
-def lif_step(u_prev: Array, input_current: Array,
-             cfg: NeuronConfig) -> tuple[Array, Array]:
-    """One LIF update: decay + integrate, threshold at >= theta, subtract reset."""
+def lif_step(u_prev: Array, input_current: Array, cfg: NeuronConfig,
+             smooth: bool = False) -> tuple[Array, Array]:
+    """One LIF update: decay + integrate, threshold at >= theta, subtract reset.
+
+    With smooth=True the hard threshold is replaced by soft_spike.
+    """
     u_prev = np.asarray(u_prev, dtype=np.float64)
     input_current = np.asarray(input_current, dtype=np.float64)
     if u_prev.shape != input_current.shape:
         raise ShapeError(f"membrane {u_prev.shape} vs current {input_current.shape}")
     u_pre = cfg.decay * u_prev + input_current
-    spikes = (u_pre >= cfg.threshold).astype(np.float64)
+    spikes = soft_spike(u_pre, cfg) if smooth else \
+        (u_pre >= cfg.threshold).astype(np.float64)
     return u_pre - cfg.threshold * spikes, spikes
 
 
@@ -352,10 +356,7 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
         prev = spikes[-1]
         for t in range(t_steps):
             cur = _apply_layer(spec, w, prev[:, t]).reshape((batch,) + spec.output_shape)
-            u_pre = cfg.decay * u + cur
-            o = soft_spike(u_pre, cfg) if smooth else \
-                (u_pre >= cfg.threshold).astype(np.float64)
-            u = u_pre - cfg.threshold * o
+            u, o = lif_step(u, cur, cfg, smooth)
             o_rec[:, t] = o
             u_rec[:, t] = u
         spikes.append(o_rec)

@@ -48,7 +48,6 @@ class OptimizerState:
 class TrainState:
     epochs: int
     batch_size: int
-    seed_init: int = 0
     seed_sample: int = 1
     seed_shuffle: int = 2
     epoch: int = 0

@@ -2,265 +2,39 @@
 
 Every check prints one PASS/FAIL line (collected into the terminal summary)
 and asserts the same condition, so a red test always has a matching FAIL line.
-Heavy shared setups (Monte-Carlo estimator runs, the desk-scale training
-comparison) are module-scoped fixtures.
+The oracle checks come from the registry in `sadp.verify`, one test per
+entry named after it; the two desk-scale gates below are wall-clock and
+accuracy gates at training scale and live only here.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from conftest import acceptance_lines
-from sadp.data import gen_synthetic_split
-from sadp.oracle import (estimator_stats, exact_grad_norms, fd_gradient_check,
-                         solve_probabilities_sorted, variance_formula)
-from sadp.pruning import (PruneConfig, schedule_ratio, smooth_probabilities,
-                          solve_probabilities)
-from sadp.snn import NeuronConfig, Network, backward_bptt, forward
-from sadp.training import OptimizerState, TrainState, run_training
-from sadp.verify import random_score_instance, warmup_correlations
+from sadp.pruning import PruneConfig
+from sadp.verify import CHECKS, result_line, train_synthetic
 
 
 def report(ok, name, detail):
-    line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+    line = result_line(ok, name, detail)
     acceptance_lines.append(line)
     print(line)
     assert ok, line
 
 
-def spike_batch(rng, n, t, dim, classes, density=0.4):
-    x = (rng.random((n, t, dim)) < density).astype(float)
-    return x, rng.integers(0, classes, n)
+def _registry_test(name):
+    def test():
+        ok, detail = CHECKS[name]()
+        report(ok, name, detail)
+    return test
 
 
-def test_solver_equivalence():
-    """Iterative clamping and the sorted closed form agree on 1,000 instances."""
-    rng = np.random.default_rng(100)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 257))
-        g = random_score_instance(rng, n)
-        s = int(rng.integers(1, n + 1))
-        it = solve_probabilities(g, s).probabilities
-        so = solve_probabilities_sorted(g, s).probabilities
-        worst = max(worst, float(np.abs(it - so).max()),
-                    abs(float(it.sum()) - s))
-        assert it.min() >= 0.0 and it.max() <= 1.0
-    elapsed = time.perf_counter() - t0
-    report(worst <= 1e-9 and elapsed < 5.0, "solver-equivalence",
-           f"max deviation {worst:.2e} over 1000 instances in {elapsed:.2f}s")
-
-
-def _project_rows(v, total, iters=100):
-    """Row-wise projection onto {p : sum p = total, 0 <= p <= 1} by bisection."""
-    lo = np.full(v.shape[0], v.min() - 1.0 - total)
-    hi = np.full(v.shape[0], v.max() + 1.0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        s = np.clip(v - mid[:, None], 0.0, 1.0).sum(axis=1)
-        hi = np.where(s > total, hi, mid)
-        lo = np.where(s > total, mid, lo)
-    return np.clip(v - (0.5 * (lo + hi))[:, None], 0.0, 1.0)
-
-
-def test_solver_optimality():
-    """Solver output beats 1,000 random feasible vectors on each instance."""
-    rng = np.random.default_rng(101)
-    t0 = time.perf_counter()
-    ok = True
-    for _ in range(50):
-        n = 16
-        g = random_score_instance(rng, n)
-        s = int(rng.integers(2, n))
-        p_opt = np.maximum(solve_probabilities(g, s).probabilities, 1e-300)
-        best = variance_formula(g, p_opt, n)
-        cand = _project_rows(rng.random((1000, n)) * 2.0, s)
-        cand = np.clip(cand, 1e-12, 1.0)
-        objs = ((1.0 - cand) * g ** 2 / cand).sum(axis=1) / n ** 2
-        if objs.min() < best - 1e-9:
-            ok = False
-    elapsed = time.perf_counter() - t0
-    report(ok and elapsed < 30.0, "solver-optimality",
-           f"50 instances x 1000 feasible vectors in {elapsed:.2f}s")
-
-
-@pytest.fixture(scope="module")
-def mc_run():
-    """Two-layer dense network, T=4, 64 examples, 20,000 mask draws."""
-    rng = np.random.default_rng(102)
-    cfg = NeuronConfig(decay=0.5, time_steps=4)
-    net = Network.from_arch("dense:16,dense:4", (24,), seed=7)
-    data, labels = spike_batch(rng, 64, 4, 24, 4)
-    rep = exact_grad_norms(net, data, labels, cfg, (0, 1))
-    p = np.clip(solve_probabilities(rep.full_norms + 1e-9, 32).probabilities,
-                1e-6, 1.0)
-    t0 = time.perf_counter()
-    stats = estimator_stats(net, data, labels, cfg, p, draws=20000, seed=5)
-    elapsed = time.perf_counter() - t0
-    return rep, p, stats, elapsed
-
-
-def test_estimator_unbiased(mc_run):
-    _, _, stats, elapsed = mc_run
-    dev = np.abs(stats.mean_estimate - stats.full_gradient)
-    active = stats.standard_errors > 0
-    ok = bool(np.all(dev[active] <= 4.0 * stats.standard_errors[active]))
-    ok &= bool(np.all(dev[~active] <= 1e-12))
-    report(ok and elapsed < 180.0, "estimator-unbiased",
-           f"20000 draws, componentwise within 4 standard errors, {elapsed:.1f}s")
-
-
-def test_variance_formula_and_solver_advantage(mc_run):
-    rep, p, stats, _ = mc_run
-    n = rep.full_norms.size
-    formula = variance_formula(rep.full_norms, p, n)
-    rel = abs(stats.expected_sq_error - formula) / formula
-    uniform = variance_formula(rep.full_norms, np.full(n, 32 / n), n)
-    assert np.ptp(rep.full_norms) > 0  # non-uniform norms, advantage must exist
-    ok = rel <= 0.05 and formula < uniform
-    report(ok, "variance-formula",
-           f"Monte-Carlo vs closed form rel err {rel:.3f}, "
-           f"solver {formula:.3e} < uniform {uniform:.3e}")
-
-
-def test_score_bound():
-    """Spike-aware scores upper-bound exact norms; tight for one layer at T=1."""
-    rng = np.random.default_rng(103)
-    cfg = NeuronConfig(decay=0.5, time_steps=4)
-    net = Network.from_arch("dense:16,dense:8,dense:4", (24,), seed=9)
-    data, labels = spike_batch(rng, 256, 4, 24, 4)
-    rep = exact_grad_norms(net, data, labels, cfg, (0, 1, 2))
-    dense_ok = bool(np.all(rep.scores >= rep.restricted_norms - 1e-9))
-
-    one_cfg = NeuronConfig(decay=0.5, time_steps=1)
-    one_net = Network.from_arch("dense:4", (24,), seed=10)
-    d1, l1 = spike_batch(rng, 64, 1, 24, 4, density=0.6)
-    one = exact_grad_norms(one_net, d1, l1, one_cfg, (0,))
-    eq_err = float(np.abs(one.scores - one.restricted_norms).max())
-
-    conv_cfg = NeuronConfig(decay=0.5, time_steps=3)
-    conv_net = Network.from_arch("conv:4x3x3,dense:4", (1, 8, 8), seed=2,
-                                 init_scale=2.0)
-    cdata = (rng.random((64, 3, 1, 8, 8)) < 0.5).astype(float)
-    crep = exact_grad_norms(conv_net, cdata, rng.integers(0, 4, 64), conv_cfg,
-                            (0, 1), apply_patch_factor=True)
-    conv_ok = bool(np.all(crep.scores >= crep.restricted_norms - 1e-9))
-    report(dense_ok and eq_err <= 1e-9 and conv_ok, "score-bound",
-           f"dense bound holds on 256, single-layer equality err {eq_err:.1e}, "
-           "conv bound with patch factor holds on 64")
-
-
-def test_correlation_ordering():
-    """After 5 warmup epochs the spike-aware score tracks exact gradient norms
-    more closely than the loss does, for every seed."""
-    reports = warmup_correlations(seeds=(0, 1, 2), warmup_epochs=5)
-    wins = sum(r.score_vs_norm > r.loss_vs_norm for _, r in reports)
-    detail = ", ".join(f"seed {s}: {r.score_vs_norm:.3f} vs {r.loss_vs_norm:.3f}"
-                       for s, r in reports)
-    report(wins == 3, "correlation-ordering", f"{wins}/3 seeds ({detail})")
-
-
-def test_smoothing():
-    rng = np.random.default_rng(104)
-    worst_min, worst_sum, mono_ok, triggered = 0.0, 0.0, True, 0
-    for _ in range(20000):
-        if triggered >= 500:
-            break
-        n = int(rng.integers(8, 65))
-        g = random_score_instance(rng, n) + 1e-6
-        s = int(rng.integers(2, max(3, n // 2)))
-        beta = float(rng.uniform(0.01, max(0.02, 0.8 * s / n)))
-        a = smooth_probabilities(g, s, beta)
-        p = a.probabilities
-        if a.gamma <= 0:
-            continue
-        triggered += 1
-        nz = (p < 1.0) & (g > 0)
-        if np.any(nz):
-            worst_min = max(worst_min, abs(float(p[nz].min()) - beta))
-        worst_sum = max(worst_sum, abs(float(p.sum()) - s))
-        order = np.argsort(g)
-        mono_ok &= bool(np.all(np.diff(p[order]) >= -1e-9))
-    assert triggered >= 500
-    worked = smooth_probabilities(np.array([1.0, 9.0]), 1, 0.3)
-    exact = (worked.gamma == pytest.approx(5.0, abs=1e-12)
-             and np.allclose(worked.probabilities, [0.3, 0.7], atol=1e-12))
-    ok = worst_min <= 1e-9 and worst_sum <= 1e-9 and mono_ok and exact
-    report(ok, "smoothing",
-           f"500 triggered vectors: floor err {worst_min:.1e}, "
-           f"sum err {worst_sum:.1e}, worked case gamma={worked.gamma:g}")
-
-
-def test_schedule():
-    cfg = PruneConfig(ratio=0.5, max_ratio=0.7, epochs=100)
-    end = schedule_ratio(100, cfg)
-    rs = np.array([schedule_ratio(k, cfg) for k in range(1, 101)])
-    const_cfg = PruneConfig(ratio=0.4, max_ratio=0.4, epochs=10)
-    const_ok = all(schedule_ratio(k, const_cfg) == 0.4 for k in range(1, 11))
-    exact_cfg = PruneConfig(ratio=0.5, max_ratio=0.7, epochs=100,
-                            exact_average=True)
-    exact_mean = np.mean([schedule_ratio(k, exact_cfg) for k in range(1, 101)])
-    ok = (end == 0.7 and const_ok
-          and abs(rs.mean() - (0.5 + 0.2 / 100)) < 1e-12
-          and abs(exact_mean - 0.5) < 1e-12)
-    report(ok, "schedule",
-           f"endpoint {end:g}, mean offset {rs.mean() - 0.5:.4f}, "
-           f"exact-average mean {exact_mean:g}")
-
-
-def test_bptt_correctness():
-    rng = np.random.default_rng(105)
-    cfg = NeuronConfig(decay=0.5, reset_detached=False, time_steps=4)
-    net = Network.from_arch("dense:16,dense:4", (24,), seed=3)
-    data, labels = spike_batch(rng, 6, 4, 24, 4, density=0.5)
-    err = fd_gradient_check(net, data, labels, cfg, trials=100, seed=11)
-
-    zcfg = NeuronConfig(decay=0.5, time_steps=3)
-    znet = Network.from_arch("dense:16,dense:4", (24,), seed=1)
-    trace, lo = forward(znet, np.zeros((4, 3, 24)), np.zeros(4, dtype=int), zcfg)
-    bt = backward_bptt(znet, trace, lo, zcfg)
-    zero_ok = all(float(np.abs(g).max()) == 0.0 for g in bt.per_example_grads)
-    report(err <= 1e-4 and zero_ok, "bptt-correctness",
-           f"finite-difference max rel err {err:.1e} over 100 params, "
-           "zero-spike gradients exactly zero")
-
-
-def _train_once(pcfg, score_kind="spike_aware", seed=0, epochs=8, arch="dense:12,dense:4",
-                n=96, test=True, **overrides):
-    params = dict(classes=4, dim=16, t=4, noise=0.15, lr=0.05, batch=32,
-                  threshold=0.8, decay=0.1)
-    params.update(overrides)
-    train, test_h = gen_synthetic_split(params["classes"], n, max(n // 4, 32),
-                                        params["t"], params["dim"],
-                                        params["noise"], seed=seed)
-    net = Network.from_arch(arch, (params["dim"],), seed=seed)
-    ncfg = NeuronConfig(decay=params["decay"], threshold=params["threshold"],
-                        time_steps=params["t"])
-    opt = OptimizerState(base_lr=params["lr"], momentum=0.9)
-    state = TrainState(epochs=epochs, batch_size=params["batch"])
-    rows = run_training(net, train, test_h if test else None, ncfg, pcfg, opt,
-                        state, score_kind=score_kind)
-    return net, rows
-
-
-def test_zero_ratio_identity():
-    """Pruning machinery at ratio zero is byte-identical to plain training."""
-    plain_net, plain_rows = _train_once(None)
-    pcfg = PruneConfig(ratio=0.0, max_ratio=0.0, epochs=8,
-                       smoothing_constant=0.3)
-    sadp_net, sadp_rows = _train_once(pcfg)
-    weights_ok = all(np.array_equal(a, b)
-                     for a, b in zip(plain_net.weights, sadp_net.weights))
-    rows_ok = True
-    for ra, rb in zip(plain_rows, sadp_rows):
-        da, db = dataclasses.asdict(ra), dataclasses.asdict(rb)
-        da.pop("wall_s"), db.pop("wall_s")
-        rows_ok &= da == db
-    report(weights_ok and rows_ok, "zero-ratio-identity",
-           "weights and metrics (wall clock aside) bit-identical to plain run")
+# One test per registry entry; the test name follows the check name so that
+# each check keeps a stable test id.
+for _name in CHECKS:
+    globals()[f"test_{_name.replace('-', '_')}"] = _registry_test(_name)
 
 
 @pytest.fixture(scope="module")
@@ -274,11 +48,11 @@ def desk_scale_runs():
                   classes=10, dim=64, t=8, noise=0.2, threshold=0.8)
         pcfg = PruneConfig(ratio=0.7, max_ratio=0.9, epochs=30,
                            smoothing_constant=0.2)
-        _, rows = _train_once(None, **kw)
+        _, rows = train_synthetic(None, **kw)
         accs["full"].append(rows[-1].test_acc)
-        _, rows = _train_once(pcfg, **kw)
+        _, rows = train_synthetic(pcfg, **kw)
         accs["sadp"].append(rows[-1].test_acc)
-        _, rows = _train_once(pcfg, score_kind="uniform", **kw)
+        _, rows = train_synthetic(pcfg, score_kind="uniform", **kw)
         accs["random"].append(rows[-1].test_acc)
     return {k: float(np.mean(v)) for k, v in accs.items()}, time.perf_counter() - t0
 
@@ -297,17 +71,17 @@ def test_time_proportionality():
     """Pruned epochs process the scheduled count and run proportionally faster."""
     kw = dict(seed=0, epochs=6, arch="dense:256,dense:10", n=2000, classes=10,
               dim=64, t=8, noise=0.2, threshold=0.8, test=False)
-    _train_once(None, epochs=1, arch="dense:256,dense:10", n=512, classes=10,
-                dim=64, t=8, test=False)  # warm caches before timing
+    train_synthetic(None, epochs=1, arch="dense:256,dense:10", n=512,
+                    classes=10, dim=64, t=8, test=False)  # warm caches before timing
     pcfg = PruneConfig(ratio=0.5, max_ratio=0.5, epochs=6,
                        smoothing_constant=0.3)
     # Interleave repeated full and pruned runs and keep per-epoch minima, so
     # transient machine load cannot skew one side of the comparison.
     full_walls, pruned_walls = [], []
     for _ in range(3):
-        _, full_rows = _train_once(None, **kw)
+        _, full_rows = train_synthetic(None, **kw)
         full_walls.append([r.wall_s for r in full_rows])
-        _, rows = _train_once(pcfg, **kw)
+        _, rows = train_synthetic(pcfg, **kw)
         pruned_walls.append([r.wall_s for r in rows])
     full_epoch = float(np.mean(np.min(full_walls, axis=0)))
     walls = np.min(pruned_walls, axis=0)

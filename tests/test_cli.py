@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sadp.cli import (EXIT_OK, EXIT_USAGE, load_weights, main)
-from sadp.config import (UsageError, default_beta, default_max_ratio,
-                         parse_config, parse_score_layers)
+import sadp
+from sadp import verify
+from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_weights,
+                      main)
+from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
+                         default_max_ratio, parse_config, parse_score_layers)
 from sadp.data import read_spike_file
 
 
@@ -65,6 +70,14 @@ class TestConfig:
         path = write_config(tmp_path, "\n# note\ntrain.batch = 16  # inline\n")
         assert parse_config(path, [])["train.batch"] == 16
 
+    def test_every_key_is_read(self):
+        """A key the program never reads would be accepted and ignored."""
+        package = Path(sadp.__file__).parent
+        sources = "".join(p.read_text() for p in package.glob("*.py")
+                          if p.name != "config.py")
+        unread = [k for k in KNOWN_KEYS if f'"{k}"' not in sources]
+        assert unread == []
+
     def test_missing_file(self):
         with pytest.raises(UsageError):
             parse_config("/nonexistent/run.cfg", [])
@@ -118,8 +131,9 @@ class TestTrainCommand:
         assert "dataset.path" in capsys.readouterr().err
 
     def test_unknown_override_is_usage_error(self, tmp_path, capsys):
-        assert main(["train", "-o", "bogus.key=1"]) == EXIT_USAGE
-        assert "bogus.key" in capsys.readouterr().err
+        for key in ("bogus.key", "workers"):
+            assert main(["train", "-o", f"{key}=1"]) == EXIT_USAGE
+            assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 class TestGenDataCommand:
@@ -153,3 +167,27 @@ class TestAnalyzeCommand:
         report = (tmp_path / "r.txt").read_text()
         for name in ("spike_aware", "loss", "uniform"):
             assert name in report
+
+
+class TestVerifyCommand:
+    def run_verify(self, tmp_path):
+        return main(["verify", "-o", f"out.report={tmp_path}/r.txt",
+                     "-o", f"out.metrics={tmp_path}/m.csv"])
+
+    def test_passes_with_one_line_per_check(self, tmp_path, capsys):
+        assert self.run_verify(tmp_path) == EXIT_OK
+        lines = (tmp_path / "r.txt").read_text().splitlines()
+        n = len(verify.CHECKS)
+        expected = [f"PASS {name}" for name in verify.CHECKS]
+        assert [line.split(":")[0] for line in lines] == \
+            expected + [f"ALL CHECKS PASSED ({n}/{n})"]
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_failed_check_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(verify.CHECKS, "forced-failure",
+                            lambda seed=0: (False, "always fails"))
+        assert self.run_verify(tmp_path) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "FAIL forced-failure: always fails" in out
+        n = len(verify.CHECKS)
+        assert f"SOME CHECKS FAILED ({n - 1}/{n})" in out

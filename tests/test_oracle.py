@@ -23,7 +23,7 @@ class TestExactNorms:
         cfg = NeuronConfig(decay=0.5, time_steps=1)
         x, y = spike_batch(3, 1, 6, 4, 0)
         rep = exact_grad_norms(net, x, y, cfg, (0,))
-        grads, _ = per_example_gradients(net, x, y, cfg)
+        grads = per_example_gradients(net, x, y, cfg)[2].per_example_grads
         manual = np.linalg.norm(grads[0].reshape(3, -1), axis=1)
         np.testing.assert_allclose(rep.full_norms, manual, atol=1e-12)
         # For one dense layer at T=1 the spike-aware bound is exact.
@@ -41,8 +41,8 @@ class TestExactNorms:
         net = Network.from_arch("dense:10,dense:3", (8,), seed=3)
         cfg = NeuronConfig(decay=0.5, time_steps=3)
         x, y = spike_batch(12, 3, 8, 3, 2)
-        grads, fb = per_example_gradients(net, x, y, cfg)
-        for g, batch in zip(grads, fb.btrace.weight_grads()):
+        bt = per_example_gradients(net, x, y, cfg)[2]
+        for g, batch in zip(bt.per_example_grads, bt.weight_grads()):
             np.testing.assert_allclose(g.mean(axis=0), batch, atol=1e-10)
 
 
@@ -126,7 +126,7 @@ class TestEstimatorStats:
         net = Network.from_arch("dense:5,dense:2", (6,), seed=7)
         cfg = NeuronConfig(decay=0.5, time_steps=2)
         x, y = spike_batch(16, 2, 6, 2, 8)
-        grads, _ = per_example_gradients(net, x, y, cfg)
+        grads = per_example_gradients(net, x, y, cfg)[2].per_example_grads
         norms = np.sqrt(sum((g.reshape(16, -1) ** 2).sum(axis=1) for g in grads))
         p = np.clip(solve_probabilities(norms + 1e-9, 8).probabilities, 1e-9, 1)
         analytic = variance_formula(norms, p, 16)
@@ -178,6 +178,10 @@ class TestCappedSimplexProjection:
             p = project_to_capped_simplex(v, s)
             assert p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9
             assert p.sum() == pytest.approx(s, abs=1e-6)
+        # A batch of rows projects each row exactly as the vector call does.
+        rows = rng.normal(0, 2, (20, 17))
+        for row, p in zip(rows, project_to_capped_simplex(rows, 5.0)):
+            np.testing.assert_array_equal(p, project_to_capped_simplex(row, 5.0))
 
 
 class TestFdCheck:

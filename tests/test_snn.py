@@ -42,6 +42,15 @@ class TestLifStep:
         below_2theta = cfg.decay * u_prev + current < 2 * cfg.threshold
         assert np.all(u[below_2theta] < cfg.threshold)
 
+    def test_smooth_uses_soft_spike(self):
+        cfg = make_cfg()
+        u_prev, current = np.array([0.2, 0.6, 1.4]), np.array([0.7, 0.2, 1.5])
+        u, s = lif_step(u_prev, current, cfg, smooth=True)
+        u_pre = cfg.decay * u_prev + current
+        np.testing.assert_array_equal(s, soft_spike(u_pre, cfg))
+        np.testing.assert_array_equal(u, u_pre - cfg.threshold * s)
+        assert 0.0 < s[0] < 1.0 and s[2] == 1.0
+
 
 class TestSurrogate:
     def test_peak(self):
