@@ -15,7 +15,7 @@ import numpy as np
 
 from .pruning import ProbabilityAssignment, spike_aware_score
 from .snn import (Array, BackwardTrace, ForwardTrace, LossOutput, NeuronConfig,
-                  Network, backward_bptt, forward)
+                  Network, backward_bptt, forward, im2col)
 
 MASK_CHUNK = 2000
 
@@ -56,10 +56,28 @@ class CorrelationReport:
 def per_example_gradients(net: Network, data: Array, labels: Array,
                           cfg: NeuronConfig, smooth: bool = False
                           ) -> tuple[ForwardTrace, LossOutput, BackwardTrace]:
-    """Forward and backward pass over a batch; the per-example weight
-    gradients are in the returned trace's per_example_grads."""
+    """Forward and backward pass over a batch; fills the returned trace's
+    per_example_grads with every example's weight gradient, grads[l] of shape
+    (batch, *weight_shape), contracted directly from errors and input spikes."""
     trace, loss = forward(net, data, labels, cfg, smooth=smooth)
-    return trace, loss, backward_bptt(net, trace, loss, cfg)
+    btrace = backward_bptt(net, trace, loss, cfg)
+    batch, t_steps = trace.batch_size, trace.time_steps
+    for spec, delta, prev in zip(btrace.specs, btrace.errors, btrace.inputs):
+        if spec.kind == "dense":
+            grad = np.einsum("bto,bti->boi",
+                             delta.reshape(batch, t_steps, -1),
+                             prev.reshape(batch, t_steps, -1))
+        else:
+            oc = spec.output_shape[0]
+            grad = np.zeros((batch,) + spec.weight_shape)
+            for t in range(t_steps):
+                cols = im2col(prev[:, t].reshape((batch,) + spec.input_shape),
+                              spec.kernel_size, spec.stride, spec.padding)
+                dflat = delta[:, t].reshape(batch, oc, -1)
+                grad += np.einsum("bop,bcp->boc", dflat, cols).reshape(
+                    (batch,) + spec.weight_shape)
+        btrace.per_example_grads.append(grad)
+    return trace, loss, btrace
 
 
 def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
@@ -114,7 +132,6 @@ def solve_probabilities_sorted(scores: Array, target_size: float
             break
     if alpha is None:
         # All mass on the top S examples (possible only when the rest are 0).
-        clipped = np.minimum(g, order[n - int(round(s))])
         alpha = order[n - int(round(s))]
     clipped = np.minimum(g, alpha)
     p = clipped * (s / clipped.sum())

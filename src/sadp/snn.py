@@ -214,20 +214,45 @@ class ForwardTrace:
 
 @dataclass
 class BackwardTrace:
-    """Per-layer, per-time errors and per-example weight gradients."""
+    """Per-layer, per-time BPTT errors and the input spikes they multiply.
 
-    errors: list[Array]             # errors[l] has shape (batch, T, *layer_shape)
-    per_example_grads: list[Array]  # grads[l] has shape (batch, *weight_shape)
+    The batch gradient is formed on demand by weight_grads.  Per-example
+    gradients are never formed here; only sadp.oracle.per_example_gradients
+    fills per_example_grads, as the reference the batch gradient is checked
+    against.
+    """
+
+    errors: list[Array]  # errors[l] has shape (batch, T, *layer_shape)
+    inputs: list[Array]  # the forward trace's spikes[:-1], not copies
     specs: list[LayerSpec]
+    per_example_grads: list[Array] = field(default_factory=list)
 
     def weight_grads(self, example_weights: Array | None = None) -> list[Array]:
-        """Batch gradient per layer: mean over examples, optionally reweighted."""
+        """Batch gradient per layer: (1/B) sum_i w_i g_i, w_i = 1 by default.
+
+        The weights scale the errors, so each dense layer costs one
+        (B*T, out)^T @ (B*T, in) product and each conv layer one
+        (O, B*P) @ (B*P, C*k*k) product per time step.
+        """
         out = []
-        for g in self.per_example_grads:
-            if example_weights is None:
-                out.append(g.mean(axis=0))
+        for spec, delta, o in zip(self.specs, self.errors, self.inputs):
+            batch, t_steps = delta.shape[:2]
+            if example_weights is not None:
+                delta = delta * np.reshape(example_weights,
+                                           (batch,) + (1,) * (delta.ndim - 1))
+            if spec.kind == "dense":
+                g = delta.reshape(batch * t_steps, -1).T \
+                    @ o.reshape(batch * t_steps, -1)
             else:
-                out.append(np.tensordot(example_weights, g, axes=(0, 0)) / g.shape[0])
+                oc = spec.output_shape[0]
+                g = np.zeros((oc, spec.fan_in))
+                for t in range(t_steps):
+                    cols = im2col(o[:, t].reshape((batch,) + spec.input_shape),
+                                  spec.kernel_size, spec.stride, spec.padding)
+                    d = delta[:, t].reshape(batch, oc, -1)
+                    g += d.transpose(1, 0, 2).reshape(oc, -1) \
+                        @ cols.transpose(0, 2, 1).reshape(-1, spec.fan_in)
+            out.append(g.reshape(spec.weight_shape) / batch)
         return out
 
 
@@ -304,28 +329,34 @@ def col2im(cols: Array, x_shape: tuple[int, ...], kernel: int, stride: int,
     return xp[:, :, padding:padding + h, padding:padding + w]
 
 
-def _apply_layer(spec: LayerSpec, w: Array, x: Array) -> Array:
-    """Synaptic current of one layer for a batch input at a single time step."""
+def _conv_current(spec: LayerSpec, w: Array, x: Array) -> Array:
+    """Synaptic current of a conv layer for one time step's inputs
+    (B, *input_shape)."""
     b = x.shape[0]
-    if spec.kind == "dense":
-        return x.reshape(b, -1) @ w.T
     cols = im2col(x.reshape((b,) + spec.input_shape), spec.kernel_size,
                   spec.stride, spec.padding)
-    wf = w.reshape(w.shape[0], -1)
-    out = np.einsum("oc,bcp->bop", wf, cols)
+    out = w.reshape(w.shape[0], -1) @ cols
     return out.reshape((b,) + spec.output_shape)
 
 
 def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
-    """Map an error at a layer's output back to its input spikes."""
-    b = delta.shape[0]
+    """Map a layer's output errors (B, T, *output_shape) back to its input
+    spikes, (B, T, *input_shape).
+
+    A dense layer takes one GEMM over all B*T rows; a conv layer goes step by
+    step, so that col2im holds one step's columns at a time.
+    """
+    b, t_steps = delta.shape[:2]
     if spec.kind == "dense":
-        return (delta.reshape(b, -1) @ w).reshape((b,) + spec.input_shape)
-    wf = w.reshape(w.shape[0], -1)
-    dflat = delta.reshape(b, w.shape[0], -1)
-    cols = np.einsum("oc,bop->bcp", wf, dflat)
-    return col2im(cols, (b,) + spec.input_shape, spec.kernel_size,
-                  spec.stride, spec.padding)
+        return (delta.reshape(b * t_steps, -1) @ w).reshape(
+            (b, t_steps) + spec.input_shape)
+    wf_t = w.reshape(w.shape[0], -1).T
+    out = np.empty((b, t_steps) + spec.input_shape)
+    for t in range(t_steps):
+        cols = wf_t @ delta[:, t].reshape(b, w.shape[0], -1)
+        out[:, t] = col2im(cols, (b,) + spec.input_shape, spec.kernel_size,
+                           spec.stride, spec.padding)
+    return out
 
 
 def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig,
@@ -354,9 +385,18 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
         o_rec = np.empty((batch, t_steps) + spec.output_shape)
         u_rec = np.empty((batch, t_steps) + spec.output_shape)
         prev = spikes[-1]
+        # A dense layer's current for all T steps is one GEMM over B*T rows,
+        # written into u_rec: step t reads its current from u_rec[:, t]
+        # before overwriting it with the membrane.  A conv layer's current is
+        # formed step by step, so that im2col holds one step's columns at a
+        # time.
+        dense = spec.kind == "dense"
+        if dense:
+            np.matmul(prev.reshape(batch * t_steps, -1), w.T,
+                      out=u_rec.reshape(batch * t_steps, -1))
         for t in range(t_steps):
-            cur = _apply_layer(spec, w, prev[:, t]).reshape((batch,) + spec.output_shape)
-            u, o = lif_step(u, cur, cfg, smooth)
+            step = u_rec[:, t] if dense else _conv_current(spec, w, prev[:, t])
+            u, o = lif_step(u, step, cfg, smooth)
             o_rec[:, t] = o
             u_rec[:, t] = u
         spikes.append(o_rec)
@@ -380,9 +420,9 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
     """Backprop through time over the recorded trace.
 
     Errors are d(per-example loss)/d(pre-reset membrane); the hard spike
-    derivative is replaced by the triangular surrogate.  Per-example weight
-    gradients are kept so that scoring and unbiasedness checks can reweight
-    them after the fact.
+    derivative is replaced by the triangular surrogate.  The returned trace
+    holds the errors and references to the input spikes, which is all the
+    batch gradient and the spike-aware score need.
     """
     if trace is None or not trace.spikes:
         raise StateError("backward_bptt needs a forward trace")
@@ -393,41 +433,21 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
     dlogits = loss.probs - onehot  # d(nll_i)/d(logits_i)
 
     errors: list[Array] = [None] * n_layers  # type: ignore[list-item]
-    grads: list[Array] = [None] * n_layers   # type: ignore[list-item]
     for l in range(n_layers - 1, -1, -1):
-        spec, w = net.layers[l]
+        spec = net.specs[l]
+        shape = (batch, t_steps) + spec.output_shape
         o = trace.spikes[l + 1]
-        u_pre = trace.membranes[l] + cfg.threshold * o
-        sg = surrogate_grad(u_pre, cfg)
-        reset_fac = np.ones_like(sg) if cfg.reset_detached \
-            else 1.0 - cfg.threshold * sg
-        delta = np.zeros((batch, t_steps) + spec.output_shape)
-        upper_spec = None if l == n_layers - 1 else net.layers[l + 1][0]
-        for t in range(t_steps - 1, -1, -1):
-            if l == n_layers - 1:
-                do = (dlogits / t_steps).reshape((batch,) + spec.output_shape)
-            else:
-                do = _backproject(upper_spec, net.layers[l + 1][1],
-                                  errors[l + 1][:, t])
-                do = do.reshape((batch,) + spec.output_shape)
-            d = sg[:, t] * do
-            if t < t_steps - 1:
-                d = d + cfg.decay * reset_fac[:, t] * delta[:, t + 1]
-            delta[:, t] = d
-        errors[l] = delta
-        prev = trace.spikes[l]
-        if spec.kind == "dense":
-            grads[l] = np.einsum("bto,bti->boi",
-                                 delta.reshape(batch, t_steps, -1),
-                                 prev.reshape(batch, t_steps, -1))
+        sg = surrogate_grad(trace.membranes[l] + cfg.threshold * o, cfg)
+        if l == n_layers - 1:
+            do = (dlogits / t_steps).reshape((batch, 1) + spec.output_shape)
         else:
-            oc = spec.output_shape[0]
-            acc = np.zeros((batch,) + spec.weight_shape)
-            for t in range(t_steps):
-                cols = im2col(prev[:, t].reshape((batch,) + spec.input_shape),
-                              spec.kernel_size, spec.stride, spec.padding)
-                dflat = delta[:, t].reshape(batch, oc, -1)
-                acc += np.einsum("bop,bcp->boc", dflat, cols).reshape(
-                    (batch,) + spec.weight_shape)
-            grads[l] = acc
-    return BackwardTrace(errors=errors, per_example_grads=grads, specs=net.specs)
+            do = _backproject(*net.layers[l + 1], errors[l + 1]).reshape(shape)
+        # The direct term for every step at once; the loop adds the error
+        # carried back through the membrane from the step after.
+        delta = sg * do
+        carry = np.broadcast_to(cfg.decay, shape) if cfg.reset_detached \
+            else cfg.decay * (1.0 - cfg.threshold * sg)
+        for t in range(t_steps - 2, -1, -1):
+            delta[:, t] += carry[:, t] * delta[:, t + 1]
+        errors[l] = delta
+    return BackwardTrace(errors=errors, inputs=trace.spikes[:-1], specs=net.specs)

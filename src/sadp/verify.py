@@ -157,10 +157,42 @@ def check_bptt_correctness(seed: int = 0) -> tuple[bool, str]:
     _, _, bt = oracle.per_example_gradients(
         znet, np.zeros((4, 3, 24)), np.zeros(4, dtype=int),
         NeuronConfig(decay=0.5, time_steps=3))
-    zero_ok = all(float(np.abs(g).max()) == 0.0 for g in bt.per_example_grads)
+    zero_ok = len(bt.per_example_grads) == len(znet) and all(
+        float(np.abs(g).max()) == 0.0 for g in bt.per_example_grads)
     return (err <= 1e-4 and zero_ok,
             f"finite-difference max rel err {err:.1e} over 100 params, "
             f"zero-spike gradients {'exactly zero' if zero_ok else 'NONZERO'}")
+
+
+def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
+    """The batch gradient under non-uniform loss weights matches the oracle's
+    per-example gradients contracted with the same weights: dense with
+    detached and with attached reset, and conv with stride 2 and padding 1."""
+    rng = np.random.default_rng(106 + seed)
+    cases = {
+        "dense detached": ("dense:16,dense:4", (24,), True),
+        "dense attached": ("dense:16,dense:4", (24,), False),
+        "conv s2p1": ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True),
+    }
+    ok, parts = True, []
+    for name, (arch, shape, detached) in cases.items():
+        cfg = NeuronConfig(decay=0.5, reset_detached=detached, time_steps=3)
+        net = Network.from_arch(arch, shape, seed=4, init_scale=2.0)
+        data = (rng.random((16, 3) + shape) < 0.5).astype(float)
+        _, _, bt = oracle.per_example_gradients(net, data,
+                                                rng.integers(0, 4, 16), cfg)
+        w = rng.uniform(0.1, 5.0, 16)
+        fused = bt.weight_grads(w)
+        ok &= len(bt.per_example_grads) == len(fused) == len(net)
+        worst = 0.0
+        for g, per in zip(fused, bt.per_example_grads):
+            ref = np.tensordot(w, per, axes=(0, 0)) / w.size
+            scale = float(np.abs(ref).max())
+            ok &= scale > 0.0
+            worst = max(worst, float(np.abs(g - ref).max()) / max(scale, 1e-300))
+        ok &= worst <= 1e-12
+        parts.append(f"{name} {worst:.1e}")
+    return bool(ok), "max rel err " + ", ".join(parts)
 
 
 def _mc_run(seed: int):
@@ -276,6 +308,7 @@ CHECKS: dict[str, Callable[[int], tuple[bool, str]]] = {
     "smoothing": check_smoothing,
     "schedule": check_schedule,
     "bptt-correctness": check_bptt_correctness,
+    "weighted-gradient": check_weighted_gradient,
     "estimator-unbiased": check_estimator_unbiased,
     "variance-formula": check_variance_formula,
     "score-bound": check_score_bound,

@@ -42,6 +42,7 @@ class TestExactNorms:
         cfg = NeuronConfig(decay=0.5, time_steps=3)
         x, y = spike_batch(12, 3, 8, 3, 2)
         bt = per_example_gradients(net, x, y, cfg)[2]
+        assert len(bt.per_example_grads) == len(net)
         for g, batch in zip(bt.per_example_grads, bt.weight_grads()):
             np.testing.assert_allclose(g.mean(axis=0), batch, atol=1e-10)
 

@@ -6,8 +6,8 @@ from sadp.pruning import (ConfigError, DegenerateScoreError, PruneConfig,
                           smooth_probabilities, solve_probabilities,
                           spike_aware_score, loss_score)
 from sadp.snn import (BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
-                      NeuronConfig, Network, backward_bptt, forward)
-from sadp.oracle import solve_probabilities_sorted
+                      NeuronConfig, Network, forward)
+from sadp.oracle import per_example_gradients, solve_probabilities_sorted
 from sadp.verify import random_score_instance
 
 
@@ -16,11 +16,10 @@ def dense_traces(delta, o_prev):
     delta = np.asarray(delta, dtype=float)
     o_prev = np.asarray(o_prev, dtype=float)
     spec = LayerSpec("dense", (o_prev.shape[2],), (delta.shape[2],))
-    grads = np.einsum("bto,bti->boi", delta, o_prev)
     out_spikes = np.zeros_like(delta)
     ft = ForwardTrace(spikes=[o_prev, out_spikes], membranes=[out_spikes],
                       specs=[spec])
-    bt = BackwardTrace(errors=[delta], per_example_grads=[grads], specs=[spec])
+    bt = BackwardTrace(errors=[delta], inputs=[o_prev], specs=[spec])
     return bt, ft
 
 
@@ -29,7 +28,8 @@ class TestSpikeAwareScore:
         bt, ft = dense_traces([[[1.0, -1.0]]], [[[1.0, 0.0, 1.0]]])
         g = spike_aware_score(bt, ft, (0,))
         assert g[0] == pytest.approx(2.0, abs=1e-12)
-        assert g[0] == pytest.approx(np.linalg.norm(bt.per_example_grads[0][0]))
+        # With one example the batch gradient is that example's gradient.
+        assert g[0] == pytest.approx(np.linalg.norm(bt.weight_grads()[0]))
 
     def test_zero_spikes_zero_score(self):
         bt, ft = dense_traces([[[3.0, 4.0]]], [[[0.0, 0.0, 0.0]]])
@@ -40,8 +40,7 @@ class TestSpikeAwareScore:
         net = Network.from_arch("dense:6,dense:4", (5,), seed=1)
         cfg = NeuronConfig(decay=0.5, time_steps=2)
         x = (rng.random((8, 2, 5)) < 0.6).astype(float)
-        trace, lo = forward(net, x, rng.integers(0, 4, 8), cfg)
-        bt = backward_bptt(net, trace, lo, cfg)
+        trace, _, bt = per_example_gradients(net, x, rng.integers(0, 4, 8), cfg)
         g = spike_aware_score(bt, trace, (0, 1))
         expected = np.zeros(8)
         for l in (0, 1):
@@ -49,6 +48,7 @@ class TestSpikeAwareScore:
                 expected += (np.linalg.norm(bt.errors[l][:, t], axis=1)
                              * np.linalg.norm(trace.spikes[l][:, t], axis=1))
         np.testing.assert_allclose(g, expected, atol=1e-12)
+        assert len(bt.per_example_grads) == len(net)
         exact = np.sqrt(sum((gr.reshape(8, -1) ** 2).sum(axis=1)
                             for gr in bt.per_example_grads))
         assert np.all(g >= exact - 1e-9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
                       UnsupportedLayerError, backward_bptt, forward, lif_step,
                       patch_count, soft_spike, surrogate_grad)
@@ -145,31 +146,40 @@ class TestBackward:
         net = Network.from_arch("dense:3", (4,), seed=2)
         cfg = make_cfg(time_steps=1)
         x = np.array([[[1.0, 0.0, 1.0, 1.0]]])
-        trace, loss = forward(net, x, np.array([1]), cfg)
-        bt = backward_bptt(net, trace, loss, cfg)
-        delta = bt.errors[0][0, 0]
-        expected = np.outer(delta, x[0, 0])
+        _, _, bt = per_example_gradients(net, x, np.array([1]), cfg)
+        assert len(bt.per_example_grads) == len(net)
+        expected = np.outer(bt.errors[0][0, 0], x[0, 0])
         np.testing.assert_allclose(bt.per_example_grads[0][0], expected, atol=1e-15)
+        np.testing.assert_allclose(bt.weight_grads()[0], expected, atol=1e-15)
 
     def test_zero_input_spikes_zero_gradient(self):
         net = Network.from_arch("dense:8,dense:3", (6,), seed=3)
         cfg = make_cfg(time_steps=3)
         x = np.zeros((4, 3, 6))
-        trace, loss = forward(net, x, np.zeros(4, dtype=int), cfg)
-        bt = backward_bptt(net, trace, loss, cfg)
-        for g in bt.per_example_grads:
-            assert np.all(g == 0.0)
+        _, _, bt = per_example_gradients(net, x, np.zeros(4, dtype=int), cfg)
+        assert len(bt.per_example_grads) == len(net)
+        for g, g_batch in zip(bt.per_example_grads, bt.weight_grads()):
+            assert np.all(g == 0.0) and np.all(g_batch == 0.0)
 
     def test_batch_gradient_is_mean_of_per_example(self):
         net = Network.from_arch("dense:10,dense:4", (8,), seed=5)
         cfg = make_cfg(time_steps=3)
         rng = np.random.default_rng(7)
         x = (rng.random((12, 3, 8)) < 0.5).astype(float)
-        trace, loss = forward(net, x, rng.integers(0, 4, 12), cfg)
-        bt = backward_bptt(net, trace, loss, cfg)
-        batch = bt.weight_grads()
-        for g_batch, g_per in zip(batch, bt.per_example_grads):
+        _, _, bt = per_example_gradients(net, x, rng.integers(0, 4, 12), cfg)
+        assert len(bt.per_example_grads) == len(net)
+        for g_batch, g_per in zip(bt.weight_grads(), bt.per_example_grads):
             np.testing.assert_allclose(g_batch, g_per.mean(axis=0), atol=1e-10)
+
+    def test_backward_returns_errors_and_input_references(self):
+        net = Network.from_arch("dense:8,dense:3", (6,), seed=3)
+        cfg = make_cfg(time_steps=3)
+        x = np.ones((4, 3, 6))
+        trace, loss = forward(net, x, np.zeros(4, dtype=int), cfg)
+        bt = backward_bptt(net, trace, loss, cfg)
+        assert bt.per_example_grads == []
+        assert all(a is b for a, b in zip(bt.inputs, trace.spikes[:-1]))
+        assert len(bt.inputs) == len(bt.errors) == len(net)
 
     @pytest.mark.parametrize("detached", [True, False])
     def test_smooth_mode_matches_finite_differences(self, detached):

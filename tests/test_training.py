@@ -5,7 +5,7 @@ import pytest
 
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
-from sadp.snn import NeuronConfig, Network
+from sadp.snn import NeuronConfig, Network, backward_bptt
 from sadp.training import (NumericDivergenceError, OptimizerState, TrainState,
                            cosine_lr, evaluate, run_training, sgd_step)
 
@@ -116,6 +116,21 @@ class TestRunTraining:
             da, db = dataclasses.asdict(ra), dataclasses.asdict(rb)
             da.pop("wall_s"), db.pop("wall_s")
             assert da == db
+
+    def test_training_keeps_no_per_example_gradients(self, monkeypatch):
+        traces = []
+
+        def recording(*args, **kwargs):
+            traces.append(backward_bptt(*args, **kwargs))
+            return traces[-1]
+        monkeypatch.setattr("sadp.training.backward_bptt", recording)
+        net, train, test, ncfg = small_problem()
+        opt = OptimizerState(base_lr=0.05, momentum=0.9)
+        pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, epochs=2,
+                           smoothing_constant=0.3)
+        run_training(net, train, test, ncfg, pcfg, opt,
+                     TrainState(epochs=2, batch_size=32))
+        assert traces and all(bt.per_example_grads == [] for bt in traces)
 
     def test_processed_counts_track_schedule(self):
         net, train, test, ncfg = small_problem(n=256)
