@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import logging
 import os
@@ -13,8 +14,8 @@ import numpy as np
 
 from . import oracle, verify
 from .config import RunConfig, UsageError, parse_config, parse_score_layers
-from .data import (DatasetHandle, atomic_write_bytes, encode,
-                   gen_synthetic_split, load_idx, read_spike_file,
+from .data import (DatasetHandle, FormatError, RangeError, atomic_write_bytes,
+                   encode, gen_synthetic_split, load_idx, read_spike_file,
                    write_metrics, write_spike_file)
 from .pruning import PruneConfig, smooth_probabilities
 from .snn import NeuronConfig, Network
@@ -43,6 +44,16 @@ def neuron_config(cfg: RunConfig, time_steps: int) -> NeuronConfig:
                         time_steps=time_steps)
 
 
+@contextlib.contextmanager
+def _reading(what: str, path: str):
+    """Report an unreadable or malformed input file as a usage error."""
+    try:
+        yield
+    except (OSError, FormatError, RangeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise UsageError(f"cannot read {what} {path}: {reason}") from exc
+
+
 def load_dataset(cfg: RunConfig) -> tuple[DatasetHandle, DatasetHandle]:
     """Resolve the configured dataset into pre-encoded train/test handles.
 
@@ -54,13 +65,15 @@ def load_dataset(cfg: RunConfig) -> tuple[DatasetHandle, DatasetHandle]:
     path = cfg["dataset.path"]
     t = cfg["dataset.synthetic.t"]
     if path:
-        if ":" in path:
-            images, labels = path.split(":", 1)
-            handle = load_idx(images, labels)
-            spikes = encode(handle.data, cfg["encode.mode"], t, seed=cfg["seed.init"])
-            handle = DatasetHandle(spikes, handle.labels, time_steps=t)
-        else:
-            handle = read_spike_file(path)
+        with _reading("dataset", path):
+            if ":" in path:
+                images, labels = path.split(":", 1)
+                handle = load_idx(images, labels)
+                spikes = encode(handle.data, cfg["encode.mode"], t,
+                                seed=cfg["seed.init"])
+                handle = DatasetHandle(spikes, handle.labels, time_steps=t)
+            else:
+                handle = read_spike_file(path)
         n_test = max(handle.n // 5, 1)
         n_train = handle.n - n_test
         train = DatasetHandle(handle.data[:n_train], handle.labels[:n_train],
@@ -96,7 +109,7 @@ def save_weights(net: Network, arch: str, input_shape, path: str) -> None:
 
 
 def load_weights(path: str) -> Network:
-    with np.load(path) as z:
+    with _reading("weights", path), np.load(path) as z:
         arch = str(z["arch"])
         shape = tuple(int(v) for v in z["input_shape"])
         net = Network.from_arch(arch, shape)
@@ -153,7 +166,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     ncfg = neuron_config(cfg, train.time_steps)
     layers = parse_score_layers(cfg["score.layers"], len(net))
     rep = oracle.exact_grad_norms(net, train.data, train.labels, ncfg, layers)
-    corr = oracle.measure_correlations(net, train.data, train.labels, ncfg)
+    corr = rep.correlations()
     n = train.n
     target = int(round((1.0 - cfg["prune.ratio"]) * n))
     beta = cfg["prune.beta"]

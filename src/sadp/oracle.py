@@ -5,6 +5,13 @@ or the score bound: exact per-example gradient norms, the sorting-based
 closed-form probability solution, Monte-Carlo estimator statistics, the
 closed-form variance objective, Pearson correlation, and finite-difference
 gradient checks.
+
+per_example_gradients is the brute-force reference: it forms every example's
+full weight gradient, and the batch gradient and the exact norms are checked
+against it.  exact_grad_norms never forms those tensors for dense layers: a
+dense layer's per-example gradient is sum_t delta_t o_t^T, so its squared
+norm is sum_{t,s} (delta_t . delta_s)(o_t . o_s), the entrywise product of
+two T x T Gram matrices per example.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pruning import ProbabilityAssignment, spike_aware_score
-from .snn import (Array, BackwardTrace, ForwardTrace, LossOutput, NeuronConfig,
-                  Network, backward_bptt, forward, im2col)
+from .snn import (Array, BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
+                  NeuronConfig, Network, backward_bptt, forward, im2col)
 
 MASK_CHUNK = 2000
 
@@ -35,6 +42,15 @@ class GradNormReport:
     scores: Array            # spike-aware bound over score_layers
     ratios: Array            # scores / restricted_norms
     losses: Array            # per-example loss
+    all_layer_scores: Array  # spike-aware bound over every layer
+
+    def correlations(self) -> CorrelationReport:
+        """Pearson correlation of the all-layer score and of the loss with
+        the full gradient norm."""
+        return CorrelationReport(
+            score_vs_norm=pearson(self.all_layer_scores, self.full_norms),
+            loss_vs_norm=pearson(self.losses, self.full_norms),
+            sample_size=self.full_norms.size)
 
 
 @dataclass
@@ -53,6 +69,20 @@ class CorrelationReport:
     sample_size: int
 
 
+def _conv_example_grads(spec: LayerSpec, delta: Array, prev: Array) -> Array:
+    """Every example's kernel gradient of one conv layer, (batch, *weight_shape)."""
+    batch, t_steps = delta.shape[:2]
+    oc = spec.output_shape[0]
+    grad = np.zeros((batch,) + spec.weight_shape)
+    for t in range(t_steps):
+        cols = im2col(prev[:, t].reshape((batch,) + spec.input_shape),
+                      spec.kernel_size, spec.stride, spec.padding)
+        dflat = delta[:, t].reshape(batch, oc, -1)
+        grad += np.einsum("bop,bcp->boc", dflat, cols).reshape(
+            (batch,) + spec.weight_shape)
+    return grad
+
+
 def per_example_gradients(net: Network, data: Array, labels: Array,
                           cfg: NeuronConfig, smooth: bool = False
                           ) -> tuple[ForwardTrace, LossOutput, BackwardTrace]:
@@ -68,39 +98,62 @@ def per_example_gradients(net: Network, data: Array, labels: Array,
                              delta.reshape(batch, t_steps, -1),
                              prev.reshape(batch, t_steps, -1))
         else:
-            oc = spec.output_shape[0]
-            grad = np.zeros((batch,) + spec.weight_shape)
-            for t in range(t_steps):
-                cols = im2col(prev[:, t].reshape((batch,) + spec.input_shape),
-                              spec.kernel_size, spec.stride, spec.padding)
-                dflat = delta[:, t].reshape(batch, oc, -1)
-                grad += np.einsum("bop,bcp->boc", dflat, cols).reshape(
-                    (batch,) + spec.weight_shape)
+            grad = _conv_example_grads(spec, delta, prev)
         btrace.per_example_grads.append(grad)
     return trace, loss, btrace
+
+
+def _squared_grad_norms(btrace: BackwardTrace) -> list[Array]:
+    """Each layer's per-example squared weight-gradient norms, (batch,) each.
+
+    Dense layers use the Gram identity ||sum_t d_t o_t^T||^2 =
+    sum_{t,s} (d_t . d_s)(o_t . o_s); conv layers square the per-example
+    kernel gradient, which is smaller than the T*P x T*P Gram matrices.
+    """
+    out = []
+    for spec, delta, prev in zip(btrace.specs, btrace.errors, btrace.inputs):
+        batch, t_steps = delta.shape[:2]
+        if spec.kind == "dense":
+            d = delta.reshape(batch, t_steps, -1)
+            o = prev.reshape(batch, t_steps, -1)
+            sq = np.einsum("bts,bts->b", d @ d.transpose(0, 2, 1),
+                           o @ o.transpose(0, 2, 1))
+            # Cancellation across time can round an exact 0 to a tiny negative.
+            out.append(np.maximum(sq, 0.0))
+        else:
+            g = _conv_example_grads(spec, delta, prev)
+            out.append((g.reshape(batch, -1) ** 2).sum(axis=1))
+    return out
 
 
 def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
                      score_layers: tuple[int, ...],
                      apply_patch_factor: bool | None = None) -> GradNormReport:
-    """Exact per-example gradient norms plus the spike-aware bound."""
-    trace, loss, btrace = per_example_gradients(net, data, labels, cfg)
+    """Exact per-example gradient norms plus the spike-aware bound, from one
+    forward and backward pass."""
+    trace, loss = forward(net, data, labels, cfg)
+    btrace = backward_bptt(net, trace, loss, cfg)
     n = data.shape[0]
     sq_full = np.zeros(n)
     sq_restricted = np.zeros(n)
-    for l, g in enumerate(btrace.per_example_grads):
-        sq = (g.reshape(n, -1) ** 2).sum(axis=1)
+    for l, sq in enumerate(_squared_grad_norms(btrace)):
         sq_full += sq
         if l in score_layers:
             sq_restricted += sq
     scores = spike_aware_score(btrace, trace, score_layers,
                                apply_patch_factor=apply_patch_factor)
+    all_layers = tuple(range(len(net)))
+    if tuple(score_layers) == all_layers and apply_patch_factor is None:
+        all_scores = scores
+    else:
+        all_scores = spike_aware_score(btrace, trace, all_layers)
     restricted = np.sqrt(sq_restricted)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(restricted > 0, scores / restricted, np.inf)
     return GradNormReport(full_norms=np.sqrt(sq_full), restricted_norms=restricted,
                           scores=scores, ratios=ratios,
-                          losses=loss.per_example_loss)
+                          losses=loss.per_example_loss,
+                          all_layer_scores=all_scores)
 
 
 def solve_probabilities_sorted(scores: Array, target_size: float
@@ -262,17 +315,8 @@ def project_to_capped_simplex(v: Array, total: float, iters: int = 100) -> Array
 
 
 def measure_correlations(net: Network, data: Array, labels: Array,
-                         cfg: NeuronConfig, score_layers: tuple[int, ...] | None = None
-                         ) -> CorrelationReport:
-    """Pearson correlation of spike-aware scores and losses vs exact norms."""
-    if score_layers is None:
-        score_layers = tuple(range(len(net)))
-    trace, loss, btrace = per_example_gradients(net, data, labels, cfg)
-    n = data.shape[0]
-    norms = np.sqrt(sum((g.reshape(n, -1) ** 2).sum(axis=1)
-                        for g in btrace.per_example_grads))
-    scores = spike_aware_score(btrace, trace, score_layers)
-    losses = np.asarray(loss.per_example_loss)
-    return CorrelationReport(score_vs_norm=pearson(scores, norms),
-                             loss_vs_norm=pearson(losses, norms),
-                             sample_size=n)
+                         cfg: NeuronConfig) -> CorrelationReport:
+    """Pearson correlation of all-layer spike-aware scores and of losses vs
+    exact gradient norms."""
+    return exact_grad_norms(net, data, labels, cfg,
+                            tuple(range(len(net)))).correlations()

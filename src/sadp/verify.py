@@ -195,6 +195,45 @@ def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
     return bool(ok), "max rel err " + ", ".join(parts)
 
 
+def check_exact_norms(seed: int = 0) -> tuple[bool, str]:
+    """Per-example gradient norms from the Gram identity match norms of the
+    oracle's per-example gradients, full and restricted to the first layer,
+    on the weighted-gradient cases at T=3; a silent batch gives exact zeros.
+    A wide surrogate keeps nearly every reference norm nonzero; where one is
+    zero, the relative error demands an exact zero."""
+    rng = np.random.default_rng(107 + seed)
+    cases = {
+        "dense detached": ("dense:16,dense:4", (24,), True),
+        "dense attached": ("dense:16,dense:4", (24,), False),
+        "conv s2p1": ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True),
+    }
+    ok, zero_ok, parts = True, True, []
+    for name, (arch, shape, detached) in cases.items():
+        cfg = NeuronConfig(decay=0.5, surrogate_width=2.0,
+                           reset_detached=detached, time_steps=3)
+        net = Network.from_arch(arch, shape, seed=4, init_scale=2.0)
+        data = (rng.random((16, 3) + shape) < 0.5).astype(float)
+        labels = rng.integers(0, 4, 16)
+        rep = oracle.exact_grad_norms(net, data, labels, cfg, (0,))
+        grads = oracle.per_example_gradients(net, data, labels,
+                                             cfg)[2].per_example_grads
+        sq = [(g.reshape(16, -1) ** 2).sum(axis=1) for g in grads]
+        worst = 0.0
+        for got, ref in ((rep.full_norms, np.sqrt(sum(sq))),
+                         (rep.restricted_norms, np.sqrt(sq[0]))):
+            ok &= bool(ref.any())
+            worst = max(worst, float((np.abs(got - ref)
+                                      / np.maximum(ref, 1e-300)).max()))
+        ok &= worst <= 1e-12
+        silent = oracle.exact_grad_norms(net, np.zeros_like(data), labels, cfg,
+                                         (0,))
+        zero_ok &= not (silent.full_norms.any() or silent.restricted_norms.any())
+        parts.append(f"{name} {worst:.1e}")
+    return bool(ok and zero_ok), (
+        "max rel err " + ", ".join(parts) + "; silent batch "
+        + ("exactly zero" if zero_ok else "NONZERO"))
+
+
 def _mc_run(seed: int):
     """Two-layer dense network, T=4, 64 examples, 20,000 mask draws."""
     rng = np.random.default_rng(102 + seed)
@@ -309,6 +348,7 @@ CHECKS: dict[str, Callable[[int], tuple[bool, str]]] = {
     "schedule": check_schedule,
     "bptt-correctness": check_bptt_correctness,
     "weighted-gradient": check_weighted_gradient,
+    "exact-norms": check_exact_norms,
     "estimator-unbiased": check_estimator_unbiased,
     "variance-formula": check_variance_formula,
     "score-bound": check_score_bound,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import sadp
-from sadp import verify
-from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_weights,
-                      main)
+from sadp import oracle, verify
+from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_dataset,
+                      load_weights, main, neuron_config)
 from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
 from sadp.data import read_spike_file
+from sadp.pruning import smooth_probabilities, spike_aware_score
 
 
 def write_config(tmp_path, text):
@@ -135,6 +136,19 @@ class TestTrainCommand:
             assert main(["train", "-o", f"{key}=1"]) == EXIT_USAGE
             assert f"unknown config key: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content", [("junk.spkt", b"not spkt"),
+                                               ("absent.spkt", None)],
+                             ids=["junk", "missing"])
+    def test_bad_dataset_file_is_usage_error(self, tmp_path, capsys, name,
+                                             content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["train", "-o", f"dataset.path={path}"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot read dataset {path}: ")
+
 
 class TestGenDataCommand:
     def test_round_trip_through_train(self, tmp_path, capsys):
@@ -154,19 +168,78 @@ class TestGenDataCommand:
 
 
 class TestAnalyzeCommand:
-    def test_reports_correlations_and_variances(self, tmp_path, capsys):
+    @staticmethod
+    def common_args(tmp_path):
         cfg = write_config(tmp_path, BASE_CFG)
-        common = ["-c", cfg, "-o", f"out.metrics={tmp_path}/m.csv",
-                  "-o", f"out.weights={tmp_path}/w.npz",
-                  "-o", f"out.report={tmp_path}/r.txt"]
+        return ["-c", cfg, "-o", f"out.metrics={tmp_path}/m.csv",
+                "-o", f"out.weights={tmp_path}/w.npz",
+                "-o", f"out.report={tmp_path}/r.txt"]
+
+    def trained(self, tmp_path, capsys):
+        common = self.common_args(tmp_path)
         assert main(["train"] + common) == EXIT_OK
         capsys.readouterr()
+        return common
+
+    def test_reports_correlations_and_variances(self, tmp_path, capsys):
+        common = self.trained(tmp_path, capsys)
         assert main(["analyze"] + common) == EXIT_OK
         out = capsys.readouterr().out
         assert "pearson" in out
         report = (tmp_path / "r.txt").read_text()
         for name in ("spike_aware", "loss", "uniform"):
             assert name in report
+
+    def test_one_pass_without_per_example_gradients(self, tmp_path, capsys,
+                                                    monkeypatch):
+        common = self.trained(tmp_path, capsys)
+        forward, calls = oracle.forward, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze formed per-example gradients")
+        monkeypatch.setattr(oracle, "per_example_gradients", forbidden)
+        monkeypatch.setattr(oracle, "forward", counted)
+        assert main(["analyze"] + common) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_last_layer_scores_and_all_layer_correlation(self, tmp_path, capsys):
+        """At the default score.layers=last the Pearson line still compares
+        the all-layer score with the full norm, while the spike_aware
+        variance row uses last-layer scores."""
+        common = self.trained(tmp_path, capsys)
+        assert main(["analyze"] + common) == EXIT_OK
+        lines = (tmp_path / "r.txt").read_text().splitlines()
+
+        cfg = parse_config(common[1], [])
+        assert cfg["score.layers"] == "last"
+        train, _ = load_dataset(cfg)
+        net = load_weights(str(tmp_path / "w.npz"))
+        ncfg = neuron_config(cfg, train.time_steps)
+        trace, _, bt = oracle.per_example_gradients(net, train.data,
+                                                    train.labels, ncfg)
+        norms = np.sqrt(sum((g.reshape(train.n, -1) ** 2).sum(axis=1)
+                            for g in bt.per_example_grads))
+        all_scores = spike_aware_score(bt, trace, (0, 1))
+        expected = oracle.pearson(all_scores, norms)
+        assert lines[1] == f"pearson(spike_aware_score, grad_norm) = {expected:.6f}"
+
+        last = spike_aware_score(bt, trace, (1,))
+        target = int(round((1.0 - cfg["prune.ratio"]) * train.n))
+        p = smooth_probabilities(last + 1e-12, target,
+                                 cfg["prune.beta"]).probabilities
+        var = oracle.variance_formula(norms, np.clip(p, 1e-9, 1.0), train.n)
+        assert lines[4] == f"spike_aware,{var:.10g}"
+
+    def test_missing_weights_file_is_usage_error(self, tmp_path, capsys):
+        common = self.common_args(tmp_path)
+        assert main(["analyze"] + common) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot read weights {tmp_path}/w.npz: "
+                       "No such file or directory"]
 
 
 class TestVerifyCommand:
