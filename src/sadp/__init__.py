@@ -1,7 +1,7 @@
 """Desk-scale spiking network training lab with spike-aware data pruning."""
 
 from .data import DatasetHandle, gen_synthetic, gen_synthetic_split
-from .pruning import (ProbabilityAssignment, PruneConfig, ScoreTable, loss_score,
+from .pruning import (ProbabilityAssignment, PruneConfig, loss_score,
                       loss_weights, sample_mask, schedule_ratio,
                       smooth_probabilities, solve_probabilities,
                       spike_aware_score)
@@ -13,7 +13,7 @@ from .training import OptimizerState, TrainState, cosine_lr, run_training, sgd_s
 __all__ = [
     "BackwardTrace", "DatasetHandle", "ForwardTrace", "LayerSpec",
     "LossOutput", "NeuronConfig", "Network", "OptimizerState",
-    "ProbabilityAssignment", "PruneConfig", "ScoreTable", "TrainState",
+    "ProbabilityAssignment", "PruneConfig", "TrainState",
     "backward_bptt", "cosine_lr", "forward", "gen_synthetic",
     "gen_synthetic_split", "lif_step", "loss_score", "loss_weights",
     "patch_count", "run_training", "sample_mask", "schedule_ratio", "sgd_step",

@@ -9,13 +9,14 @@ import logging
 import os
 import sys
 import tempfile
+import zipfile
 
 import numpy as np
 
 from . import oracle, verify
 from .config import RunConfig, UsageError, parse_config, parse_score_layers
-from .data import (DatasetHandle, FormatError, RangeError, atomic_write_bytes,
-                   encode, gen_synthetic_split, load_idx, read_spike_file,
+from .data import (DatasetHandle, atomic_write_bytes, encode,
+                   gen_synthetic_split, load_idx, read_spike_file,
                    write_metrics, write_spike_file)
 from .pruning import PruneConfig, smooth_probabilities
 from .snn import NeuronConfig, Network
@@ -49,8 +50,9 @@ def _reading(what: str, path: str):
     """Report an unreadable or malformed input file as a usage error."""
     try:
         yield
-    except (OSError, FormatError, RangeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        reason = getattr(exc, "strerror", None) \
+            or (exc.args[0] if exc.args else exc)
         raise UsageError(f"cannot read {what} {path}: {reason}") from exc
 
 
@@ -121,7 +123,6 @@ def _prune_config(cfg: RunConfig) -> PruneConfig | None:
     if not cfg["prune.enabled"]:
         return None
     return PruneConfig(ratio=cfg["prune.ratio"], max_ratio=cfg["prune.max_ratio"],
-                       epochs=cfg["train.epochs"],
                        smoothing_constant=cfg["prune.beta"],
                        seed=cfg["seed.sample"],
                        exact_average=cfg["prune.exact_average"])

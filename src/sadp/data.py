@@ -43,12 +43,6 @@ class DatasetHandle:
         off = 2 if self.time_steps is not None else 1
         return tuple(self.data.shape[off:])
 
-    @property
-    def n_classes(self) -> int:
-        if self.labels is None:
-            raise ValueError("dataset has no labels")
-        return int(self.labels.max()) + 1
-
 
 @dataclass
 class MetricsRow:
@@ -193,6 +187,8 @@ def read_spike_file(path: str) -> DatasetHandle:
         raw = fh.read()
     if raw[:4] != SPKT_MAGIC:
         raise FormatError("bad SPKT magic")
+    if len(raw) < 8:
+        raise FormatError("truncated SPKT header")
     version, dtype_code, rank = struct.unpack_from("<HBB", raw, 4)
     if version != SPKT_VERSION:
         raise FormatError(f"unsupported SPKT version {version}")

@@ -40,7 +40,6 @@ class GradNormReport:
     full_norms: Array        # exact ||grad|| over all layers, per example
     restricted_norms: Array  # exact norm restricted to score_layers
     scores: Array            # spike-aware bound over score_layers
-    ratios: Array            # scores / restricted_norms
     losses: Array            # per-example loss
     all_layer_scores: Array  # spike-aware bound over every layer
 
@@ -55,7 +54,6 @@ class GradNormReport:
 
 @dataclass
 class MCStats:
-    draws: int
     mean_estimate: Array       # mean estimator gradient, flattened
     full_gradient: Array       # exact full-data mean gradient, flattened
     expected_sq_error: float   # Monte-Carlo E||ghat - g||^2
@@ -84,12 +82,12 @@ def _conv_example_grads(spec: LayerSpec, delta: Array, prev: Array) -> Array:
 
 
 def per_example_gradients(net: Network, data: Array, labels: Array,
-                          cfg: NeuronConfig, smooth: bool = False
+                          cfg: NeuronConfig
                           ) -> tuple[ForwardTrace, LossOutput, BackwardTrace]:
     """Forward and backward pass over a batch; fills the returned trace's
     per_example_grads with every example's weight gradient, grads[l] of shape
     (batch, *weight_shape), contracted directly from errors and input spikes."""
-    trace, loss = forward(net, data, labels, cfg, smooth=smooth)
+    trace, loss = forward(net, data, labels, cfg)
     btrace = backward_bptt(net, trace, loss, cfg)
     batch, t_steps = trace.batch_size, trace.time_steps
     for spec, delta, prev in zip(btrace.specs, btrace.errors, btrace.inputs):
@@ -127,8 +125,7 @@ def _squared_grad_norms(btrace: BackwardTrace) -> list[Array]:
 
 
 def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
-                     score_layers: tuple[int, ...],
-                     apply_patch_factor: bool | None = None) -> GradNormReport:
+                     score_layers: tuple[int, ...]) -> GradNormReport:
     """Exact per-example gradient norms plus the spike-aware bound, from one
     forward and backward pass."""
     trace, loss = forward(net, data, labels, cfg)
@@ -140,19 +137,13 @@ def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig
         sq_full += sq
         if l in score_layers:
             sq_restricted += sq
-    scores = spike_aware_score(btrace, trace, score_layers,
-                               apply_patch_factor=apply_patch_factor)
+    scores = spike_aware_score(btrace, score_layers)
     all_layers = tuple(range(len(net)))
-    if tuple(score_layers) == all_layers and apply_patch_factor is None:
-        all_scores = scores
-    else:
-        all_scores = spike_aware_score(btrace, trace, all_layers)
-    restricted = np.sqrt(sq_restricted)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(restricted > 0, scores / restricted, np.inf)
-    return GradNormReport(full_norms=np.sqrt(sq_full), restricted_norms=restricted,
-                          scores=scores, ratios=ratios,
-                          losses=loss.per_example_loss,
+    all_scores = scores if tuple(score_layers) == all_layers \
+        else spike_aware_score(btrace, all_layers)
+    return GradNormReport(full_norms=np.sqrt(sq_full),
+                          restricted_norms=np.sqrt(sq_restricted),
+                          scores=scores, losses=loss.per_example_loss,
                           all_layer_scores=all_scores)
 
 
@@ -189,7 +180,7 @@ def solve_probabilities_sorted(scores: Array, target_size: float
     clipped = np.minimum(g, alpha)
     p = clipped * (s / clipped.sum())
     p = np.minimum(p, 1.0)
-    return ProbabilityAssignment(probabilities=p, expected_size=s, alpha=float(alpha),
+    return ProbabilityAssignment(probabilities=p, alpha=float(alpha),
                                  clipped_count=int((g >= alpha).sum()))
 
 
@@ -236,7 +227,7 @@ def estimator_stats(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
     mean_est = sum_est / draws
     var_comp = np.maximum(sum_sq / draws - mean_est ** 2, 0.0)
     stderr = np.sqrt(var_comp / draws)
-    return MCStats(draws=draws, mean_estimate=mean_est, full_gradient=g_full,
+    return MCStats(mean_estimate=mean_est, full_gradient=g_full,
                    expected_sq_error=float(sum_err2 / draws),
                    standard_errors=stderr)
 
@@ -267,8 +258,8 @@ def fd_gradient_check(net: Network, data: Array, labels: Array, cfg: NeuronConfi
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon outside [1e-7, 1e-3]")
     rng = np.random.default_rng(seed)
-    analytic = per_example_gradients(net, data, labels, cfg,
-                                     smooth=True)[2].weight_grads()
+    trace, loss = forward(net, data, labels, cfg, smooth=True)
+    analytic = backward_bptt(net, trace, loss, cfg).weight_grads()
 
     def mean_loss(candidate: Network) -> float:
         _, lo = forward(candidate, data, labels, cfg, smooth=True)

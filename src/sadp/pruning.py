@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .snn import Array, BackwardTrace, ForwardTrace, patch_count
+from .snn import Array, BackwardTrace, patch_count
 
 logger = logging.getLogger(__name__)
 
@@ -26,29 +26,9 @@ class DegenerateScoreError(ValueError):
 
 
 @dataclass
-class ScoreTable:
-    """Per-example importance scores with staleness metadata."""
-
-    scores: Array
-    last_updated_epoch: Array
-    score_layers: tuple[int, ...]
-
-    @classmethod
-    def uniform(cls, n: int, score_layers: tuple[int, ...]) -> "ScoreTable":
-        # Equal scores before the first backward pass: epoch 1 samples uniformly.
-        return cls(scores=np.ones(n), last_updated_epoch=np.zeros(n, dtype=np.int64),
-                   score_layers=tuple(score_layers))
-
-    def update(self, indices: Array, values: Array, epoch: int) -> None:
-        self.scores[indices] = values
-        self.last_updated_epoch[indices] = epoch
-
-
-@dataclass
 class PruneConfig:
     ratio: float
     max_ratio: float
-    epochs: int
     smoothing_constant: float = 0.0
     seed: int = 0
     exact_average: bool = False
@@ -60,8 +40,6 @@ class PruneConfig:
             raise ValueError(f"max_ratio must lie in [ratio, 1], got {self.max_ratio}")
         if not 0.0 <= self.smoothing_constant < 1.0:
             raise ValueError("smoothing constant must lie in [0, 1)")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
 
 
 @dataclass
@@ -69,23 +47,19 @@ class ProbabilityAssignment:
     """Per-example selection probabilities plus solver diagnostics."""
 
     probabilities: Array
-    expected_size: float
     gamma: float = 0.0
     alpha: float = 0.0
     clipped_count: int = 0
     iterations: int = 0
 
 
-def spike_aware_score(btrace: BackwardTrace, ftrace: ForwardTrace,
-                      score_layers: tuple[int, ...],
-                      apply_patch_factor: bool | None = None) -> Array:
+def spike_aware_score(btrace: BackwardTrace,
+                      score_layers: tuple[int, ...]) -> Array:
     """Per-example sum over layers and time of ||error|| * ||input spikes||.
 
     This upper-bounds each example's weight-gradient norm restricted to
-    score_layers.  For conv layers the bound carries a sqrt(patch count)
-    factor; it cancels in normalized probabilities when all scored layers
-    share the same factor, so by default it is applied only when the scored
-    layers mix different patch counts.
+    score_layers.  A conv layer's term carries the sqrt(patch count) factor
+    its bound needs, so the score is always a bound.
     """
     score_layers = tuple(score_layers)
     if not score_layers:
@@ -94,23 +68,17 @@ def spike_aware_score(btrace: BackwardTrace, ftrace: ForwardTrace,
     for l in score_layers:
         if not 0 <= l < n_layers:
             raise ConfigError(f"score layer {l} out of range")
-    factors = {}
-    for l in score_layers:
-        spec = btrace.specs[l]
-        factors[l] = np.sqrt(patch_count(spec)) if spec.kind == "conv2d" else 1.0
-    if apply_patch_factor is None:
-        apply_patch_factor = len(set(factors.values())) > 1
 
-    batch, t_steps = ftrace.batch_size, ftrace.time_steps
+    batch, t_steps = btrace.errors[0].shape[:2]
     total = np.zeros(batch)
     for l in score_layers:
         delta = btrace.errors[l].reshape(batch, t_steps, -1)
-        o_prev = ftrace.spikes[l].reshape(batch, t_steps, -1)
+        o_prev = btrace.inputs[l].reshape(batch, t_steps, -1)
         dn = np.sqrt((delta ** 2).sum(axis=2))
         on = np.sqrt((o_prev ** 2).sum(axis=2))
         contrib = (dn * on).sum(axis=1)
-        if apply_patch_factor:
-            contrib = contrib * factors[l]
+        if btrace.specs[l].kind == "conv2d":
+            contrib = contrib * np.sqrt(patch_count(btrace.specs[l]))
         total += contrib
     return total
 
@@ -165,8 +133,7 @@ def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignm
             break
         p[over] = 1.0
         in_r &= ~over
-    return ProbabilityAssignment(probabilities=p, expected_size=float(target_size),
-                                 gamma=0.0, alpha=float(alpha),
+    return ProbabilityAssignment(probabilities=p, alpha=float(alpha),
                                  clipped_count=n - int(in_r.sum()),
                                  iterations=iterations)
 
@@ -223,21 +190,21 @@ def smooth_probabilities(scores: Array, target_size: float,
         nz = in_r & (scores > 0)
         if not np.any(nz):
             break
-    return ProbabilityAssignment(probabilities=p, expected_size=float(target_size),
-                                 gamma=float(gamma), alpha=base.alpha,
+    return ProbabilityAssignment(probabilities=p, gamma=float(gamma),
+                                 alpha=base.alpha,
                                  clipped_count=n - int(in_r.sum()),
                                  iterations=base.iterations)
 
 
-def schedule_ratio(k: int, cfg: PruneConfig) -> float:
-    """Pruning ratio for epoch k: linear from 2r - r_max up to r_max."""
-    if not 1 <= k <= cfg.epochs:
-        raise ValueError(f"epoch {k} outside [1, {cfg.epochs}]")
-    r, rmax, kk = cfg.ratio, cfg.max_ratio, cfg.epochs
-    rk = 2.0 * r - rmax + k * (2.0 * rmax - 2.0 * r) / kk
+def schedule_ratio(k: int, epochs: int, cfg: PruneConfig) -> float:
+    """Pruning ratio for epoch k of epochs: linear from 2r - r_max up to r_max."""
+    if not 1 <= k <= epochs:
+        raise ValueError(f"epoch {k} outside [1, {epochs}]")
+    r, rmax = cfg.ratio, cfg.max_ratio
+    rk = 2.0 * r - rmax + k * (2.0 * rmax - 2.0 * r) / epochs
     if cfg.exact_average:
         # Shift so the schedule mean is exactly r instead of r + (rmax-r)/K.
-        rk -= (rmax - r) / kk
+        rk -= (rmax - r) / epochs
     clamped = min(max(rk, 0.0), np.nextafter(1.0, 0.0))
     if clamped != rk:
         logger.debug("schedule ratio %.4f at epoch %d clamped to %.4f", rk, k, clamped)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .data import DatasetHandle, MetricsRow
 from .pruning import (DegenerateScoreError, ProbabilityAssignment, PruneConfig,
-                      ScoreTable, loss_score, loss_weights, sample_mask,
-                      schedule_ratio, smooth_probabilities, spike_aware_score)
+                      loss_score, loss_weights, sample_mask, schedule_ratio,
+                      smooth_probabilities, spike_aware_score)
 from .snn import Array, NeuronConfig, Network, backward_bptt, forward
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,6 @@ class TrainState:
     batch_size: int
     seed_sample: int = 1
     seed_shuffle: int = 2
-    epoch: int = 0
 
 
 def sgd_step(weights: list[Array], grads: list[Array], opt: OptimizerState) -> list[Array]:
@@ -88,16 +87,13 @@ def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig,
 
 def _probabilities_for_epoch(scores: Array, target: int, beta: float,
                              score_kind: str) -> ProbabilityAssignment:
+    if score_kind != "uniform":
+        try:
+            return smooth_probabilities(scores, target, beta)
+        except DegenerateScoreError:
+            logger.warning("all scores zero; falling back to uniform probabilities")
     n = scores.size
-    if score_kind == "uniform":
-        return ProbabilityAssignment(probabilities=np.full(n, target / n),
-                                     expected_size=float(target))
-    try:
-        return smooth_probabilities(scores, target, beta)
-    except DegenerateScoreError:
-        logger.warning("all scores zero; falling back to uniform probabilities")
-        return ProbabilityAssignment(probabilities=np.full(n, target / n),
-                                     expected_size=float(target))
+    return ProbabilityAssignment(probabilities=np.full(n, target / n))
 
 
 def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
@@ -107,48 +103,40 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
                  score_kind: str = "spike_aware") -> list[MetricsRow]:
     """Train for state.epochs epochs, pruning per epoch when pcfg is given.
 
-    Each epoch: schedule the pruning ratio, turn the (stale) score table into
-    selection probabilities, Bernoulli-sample a subset, and run weighted
-    mini-batch SGD over it, refreshing scores for every trained example from
-    the traces already produced by the backward pass.
+    Each epoch: schedule the pruning ratio (zero without pcfg), turn the
+    (stale) scores into selection probabilities, Bernoulli-sample a subset,
+    and run weighted mini-batch SGD over it, refreshing scores for every
+    trained example from the traces already produced by the backward pass.
     """
     n = train.n
     if score_layers is None:
         score_layers = (len(net) - 1,)  # final layer only
-    table = ScoreTable.uniform(n, score_layers)
+    # Equal scores before the first backward pass: epoch 1 samples uniformly.
+    scores = np.ones(n)
     metrics: list[MetricsRow] = []
-    pruning = pcfg is not None
 
     for k in range(1, state.epochs + 1):
         t0 = time.perf_counter()
-        state.epoch = k
         opt.learning_rate = cosine_lr(k, state.epochs, opt.base_lr) \
             if opt.schedule == "cosine" else opt.base_lr
 
-        if pruning:
-            rk = schedule_ratio(k, pcfg)
-            target = int(round((1.0 - rk) * n))
-            if target <= 0:
-                logger.warning("epoch %d: empty target subset (r_k=%.3f); skipped", k, rk)
-                metrics.append(MetricsRow(k, rk, 0, math.nan, math.nan,
-                                          time.perf_counter() - t0, 0.0, 0))
-                continue
-            if target == n:
-                # S = N forces every probability to 1; skip the solver so a
-                # zero-ratio run is indistinguishable from plain training.
-                assignment = ProbabilityAssignment(probabilities=np.ones(n),
-                                                   expected_size=float(n))
-            else:
-                assignment = _probabilities_for_epoch(table.scores, target,
-                                                      pcfg.smoothing_constant,
-                                                      score_kind)
-            mask = sample_mask(assignment, [pcfg.seed, state.seed_sample, k])
-        else:
-            rk = 0.0
-            target = n
-            assignment = ProbabilityAssignment(probabilities=np.ones(n),
-                                               expected_size=float(n))
+        rk = schedule_ratio(k, state.epochs, pcfg) if pcfg is not None else 0.0
+        target = int(round((1.0 - rk) * n))
+        if target <= 0:
+            logger.warning("epoch %d: empty target subset (r_k=%.3f); skipped", k, rk)
+            metrics.append(MetricsRow(k, rk, 0, math.nan, math.nan,
+                                      time.perf_counter() - t0, 0.0, 0))
+            continue
+        if target == n:
+            # S = N forces every probability to 1, and a draw at p = 1 selects
+            # everything; skip the solver and the draw.
+            assignment = ProbabilityAssignment(probabilities=np.ones(n))
             mask = np.ones(n, dtype=np.int64)
+        else:
+            assignment = _probabilities_for_epoch(scores, target,
+                                                  pcfg.smoothing_constant,
+                                                  score_kind)
+            mask = sample_mask(assignment, [pcfg.seed, state.seed_sample, k])
 
         selected = np.flatnonzero(mask)
         if selected.size == 0:
@@ -176,9 +164,9 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             grads = btrace.weight_grads(example_weights=w_batch)
             sgd_step(net.weights, grads, opt)
             if score_kind == "spike_aware":
-                table.update(idx, spike_aware_score(btrace, trace, score_layers), k)
+                scores[idx] = spike_aware_score(btrace, score_layers)
             elif score_kind == "loss":
-                table.update(idx, loss_score(lo), k)
+                scores[idx] = loss_score(lo)
             loss_sum += float((w_batch * lo.per_example_loss).sum())
 
         test_acc = evaluate(net, test, ncfg) if test is not None else math.nan

@@ -46,8 +46,7 @@ def desk_scale_runs():
     for seed in (0, 1, 2):
         kw = dict(seed=seed, epochs=30, arch="dense:64,dense:10", n=2000,
                   classes=10, dim=64, t=8, noise=0.2, threshold=0.8)
-        pcfg = PruneConfig(ratio=0.7, max_ratio=0.9, epochs=30,
-                           smoothing_constant=0.2)
+        pcfg = PruneConfig(ratio=0.7, max_ratio=0.9, smoothing_constant=0.2)
         _, rows = train_synthetic(None, **kw)
         accs["full"].append(rows[-1].test_acc)
         _, rows = train_synthetic(pcfg, **kw)
@@ -73,8 +72,7 @@ def test_time_proportionality():
               dim=64, t=8, noise=0.2, threshold=0.8, test=False)
     train_synthetic(None, epochs=1, arch="dense:256,dense:10", n=512,
                     classes=10, dim=64, t=8, test=False)  # warm caches before timing
-    pcfg = PruneConfig(ratio=0.5, max_ratio=0.5, epochs=6,
-                       smoothing_constant=0.3)
+    pcfg = PruneConfig(ratio=0.5, max_ratio=0.5, smoothing_constant=0.3)
     # Interleave repeated full and pruned runs and keep per-epoch minima, so
     # transient machine load cannot skew one side of the comparison.
     full_walls, pruned_walls = [], []

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,26 @@ class TestConfig:
         unread = [k for k in KNOWN_KEYS if f'"{k}"' not in sources]
         assert unread == []
 
+    def test_every_record_field_is_read(self):
+        """A dataclass field nothing reads is state kept for no one.  A read
+        is `.name` anywhere in the package or the tests that is not the
+        target of an assignment."""
+        package = Path(sadp.__file__).parent
+        files = [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+        sources = "".join(p.read_text() for p in files)
+        unread = []
+        for short in ("snn", "pruning", "training", "oracle", "data", "config"):
+            module = importlib.import_module(f"sadp.{short}")
+            for cls in vars(module).values():
+                if not (dataclasses.is_dataclass(cls)
+                        and cls.__module__ == module.__name__):
+                    continue
+                for f in dataclasses.fields(cls):
+                    read = rf"\.{f.name}\b(?!\s*(\[[^\]]*\])?\s*=[^=])"
+                    if not re.search(read, sources):
+                        unread.append(f"{cls.__name__}.{f.name}")
+        assert unread == []
+
     def test_missing_file(self):
         with pytest.raises(UsageError):
             parse_config("/nonexistent/run.cfg", [])
@@ -137,8 +160,9 @@ class TestTrainCommand:
             assert f"unknown config key: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, content", [("junk.spkt", b"not spkt"),
+                                               ("short.spkt", b"SPKT\x01"),
                                                ("absent.spkt", None)],
-                             ids=["junk", "missing"])
+                             ids=["junk", "truncated-header", "missing"])
     def test_bad_dataset_file_is_usage_error(self, tmp_path, capsys, name,
                                              content):
         path = tmp_path / name
@@ -219,20 +243,36 @@ class TestAnalyzeCommand:
         train, _ = load_dataset(cfg)
         net = load_weights(str(tmp_path / "w.npz"))
         ncfg = neuron_config(cfg, train.time_steps)
-        trace, _, bt = oracle.per_example_gradients(net, train.data,
-                                                    train.labels, ncfg)
+        _, _, bt = oracle.per_example_gradients(net, train.data,
+                                                train.labels, ncfg)
         norms = np.sqrt(sum((g.reshape(train.n, -1) ** 2).sum(axis=1)
                             for g in bt.per_example_grads))
-        all_scores = spike_aware_score(bt, trace, (0, 1))
+        all_scores = spike_aware_score(bt, (0, 1))
         expected = oracle.pearson(all_scores, norms)
         assert lines[1] == f"pearson(spike_aware_score, grad_norm) = {expected:.6f}"
 
-        last = spike_aware_score(bt, trace, (1,))
+        last = spike_aware_score(bt, (1,))
         target = int(round((1.0 - cfg["prune.ratio"]) * train.n))
         p = smooth_probabilities(last + 1e-12, target,
                                  cfg["prune.beta"]).probabilities
         var = oracle.variance_formula(norms, np.clip(p, 1e-9, 1.0), train.n)
         assert lines[4] == f"spike_aware,{var:.10g}"
+
+    @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0"])
+    def test_malformed_weights_file_is_usage_error(self, tmp_path, capsys,
+                                                    case):
+        path = tmp_path / "w.npz"
+        if case == "junk":
+            path.write_bytes(b"\x93junk!!!")
+        elif case == "bad-zip":
+            path.write_bytes(b"PK\x03\x04garbage")
+        else:
+            np.savez(path, arch=np.array("dense:12,dense:4"),
+                     input_shape=np.array([16]))
+        assert main(["analyze"] + self.common_args(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot read weights {path}: ")
 
     def test_missing_weights_file_is_usage_error(self, tmp_path, capsys):
         common = self.common_args(tmp_path)

@@ -36,16 +36,6 @@ class TestExactNorms:
         rep = exact_grad_norms(net, x, y, cfg, (0, 1))
         assert np.all(rep.scores >= rep.restricted_norms - 1e-9)
 
-    def test_per_example_linearity(self):
-        """The mean of per-example gradients equals the batch gradient."""
-        net = Network.from_arch("dense:10,dense:3", (8,), seed=3)
-        cfg = NeuronConfig(decay=0.5, time_steps=3)
-        x, y = spike_batch(12, 3, 8, 3, 2)
-        bt = per_example_gradients(net, x, y, cfg)[2]
-        assert len(bt.per_example_grads) == len(net)
-        for g, batch in zip(bt.per_example_grads, bt.weight_grads()):
-            np.testing.assert_allclose(g.mean(axis=0), batch, atol=1e-10)
-
 
 class TestSortedSolver:
     def test_worked_example(self):

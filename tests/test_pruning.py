@@ -5,35 +5,31 @@ from sadp.pruning import (ConfigError, DegenerateScoreError, PruneConfig,
                           loss_weights, sample_mask, schedule_ratio,
                           smooth_probabilities, solve_probabilities,
                           spike_aware_score, loss_score)
-from sadp.snn import (BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
-                      NeuronConfig, Network, forward)
+from sadp.snn import (BackwardTrace, LayerSpec, LossOutput, NeuronConfig,
+                      Network, forward, patch_count)
 from sadp.oracle import per_example_gradients, solve_probabilities_sorted
 from sadp.verify import random_score_instance
 
 
-def dense_traces(delta, o_prev):
-    """Hand-built one-layer traces; delta and o_prev are (B, T, dim) arrays."""
+def dense_trace(delta, o_prev):
+    """Hand-built one-layer trace; delta and o_prev are (B, T, dim) arrays."""
     delta = np.asarray(delta, dtype=float)
     o_prev = np.asarray(o_prev, dtype=float)
     spec = LayerSpec("dense", (o_prev.shape[2],), (delta.shape[2],))
-    out_spikes = np.zeros_like(delta)
-    ft = ForwardTrace(spikes=[o_prev, out_spikes], membranes=[out_spikes],
-                      specs=[spec])
-    bt = BackwardTrace(errors=[delta], inputs=[o_prev], specs=[spec])
-    return bt, ft
+    return BackwardTrace(errors=[delta], inputs=[o_prev], specs=[spec])
 
 
 class TestSpikeAwareScore:
     def test_rank_one_equals_exact_norm(self):
-        bt, ft = dense_traces([[[1.0, -1.0]]], [[[1.0, 0.0, 1.0]]])
-        g = spike_aware_score(bt, ft, (0,))
+        bt = dense_trace([[[1.0, -1.0]]], [[[1.0, 0.0, 1.0]]])
+        g = spike_aware_score(bt, (0,))
         assert g[0] == pytest.approx(2.0, abs=1e-12)
         # With one example the batch gradient is that example's gradient.
         assert g[0] == pytest.approx(np.linalg.norm(bt.weight_grads()[0]))
 
     def test_zero_spikes_zero_score(self):
-        bt, ft = dense_traces([[[3.0, 4.0]]], [[[0.0, 0.0, 0.0]]])
-        assert spike_aware_score(bt, ft, (0,))[0] == 0.0
+        bt = dense_trace([[[3.0, 4.0]]], [[[0.0, 0.0, 0.0]]])
+        assert spike_aware_score(bt, (0,))[0] == 0.0
 
     def test_sum_of_norm_products_and_upper_bound(self):
         rng = np.random.default_rng(0)
@@ -41,7 +37,7 @@ class TestSpikeAwareScore:
         cfg = NeuronConfig(decay=0.5, time_steps=2)
         x = (rng.random((8, 2, 5)) < 0.6).astype(float)
         trace, _, bt = per_example_gradients(net, x, rng.integers(0, 4, 8), cfg)
-        g = spike_aware_score(bt, trace, (0, 1))
+        g = spike_aware_score(bt, (0, 1))
         expected = np.zeros(8)
         for l in (0, 1):
             for t in (0, 1):
@@ -53,10 +49,29 @@ class TestSpikeAwareScore:
                             for gr in bt.per_example_grads))
         assert np.all(g >= exact - 1e-9)
 
+    def test_conv_terms_carry_patch_factor_and_bound_the_norm(self):
+        """A conv layer scored alone still gets its sqrt(P) factor, so the
+        score bounds that layer's exact gradient norm."""
+        rng = np.random.default_rng(2)
+        net = Network.from_arch("conv:3x3x3,dense:4", (1, 6, 6), seed=5,
+                                init_scale=2.0)
+        cfg = NeuronConfig(decay=0.5, surrogate_width=2.0, time_steps=2)
+        x = (rng.random((16, 2, 1, 6, 6)) < 0.5).astype(float)
+        trace, _, bt = per_example_gradients(net, x, rng.integers(0, 4, 16), cfg)
+        g = spike_aware_score(bt, (0,))
+        plain = (np.linalg.norm(bt.errors[0].reshape(16, 2, -1), axis=2)
+                 * np.linalg.norm(trace.spikes[0].reshape(16, 2, -1), axis=2)
+                 ).sum(axis=1)
+        np.testing.assert_allclose(g, np.sqrt(patch_count(net.specs[0])) * plain,
+                                   rtol=1e-12)
+        exact = np.linalg.norm(bt.per_example_grads[0].reshape(16, -1), axis=1)
+        assert exact.any()
+        assert np.all(g >= exact - 1e-9)
+
     def test_empty_layers_rejected(self):
-        bt, ft = dense_traces([[[1.0, 1.0]]], [[[1.0, 0.0, 0.0]]])
+        bt = dense_trace([[[1.0, 1.0]]], [[[1.0, 0.0, 0.0]]])
         with pytest.raises(ConfigError):
-            spike_aware_score(bt, ft, ())
+            spike_aware_score(bt, ())
 
 
 class TestLossScore:
@@ -178,46 +193,46 @@ class TestSmoothing:
 
 
 class TestSchedule:
-    def cfg(self, r=0.5, rmax=0.7, k=100, exact=False):
-        return PruneConfig(ratio=r, max_ratio=rmax, epochs=k,
-                           exact_average=exact)
+    def cfg(self, r=0.5, rmax=0.7, exact=False):
+        return PruneConfig(ratio=r, max_ratio=rmax, exact_average=exact)
 
     def test_endpoint(self):
-        assert schedule_ratio(100, self.cfg()) == pytest.approx(0.7, abs=1e-15)
+        assert schedule_ratio(100, 100, self.cfg()) == pytest.approx(0.7, abs=1e-15)
 
     def test_constant_when_rmax_equals_r(self):
-        cfg = self.cfg(r=0.4, rmax=0.4, k=20)
-        assert all(schedule_ratio(k, cfg) == pytest.approx(0.4, abs=1e-15)
+        cfg = self.cfg(r=0.4, rmax=0.4)
+        assert all(schedule_ratio(k, 20, cfg) == pytest.approx(0.4, abs=1e-15)
                    for k in range(1, 21))
 
     def test_midpoint_value(self):
-        assert schedule_ratio(50, self.cfg()) == pytest.approx(0.5, abs=1e-12)
+        assert schedule_ratio(50, 100, self.cfg()) == pytest.approx(0.5, abs=1e-12)
 
     def test_affine_and_mean(self):
         cfg = self.cfg()
-        rs = np.array([schedule_ratio(k, cfg) for k in range(1, 101)])
+        rs = np.array([schedule_ratio(k, 100, cfg) for k in range(1, 101)])
         np.testing.assert_allclose(np.diff(rs), rs[1] - rs[0], atol=1e-12)
         assert rs.mean() == pytest.approx(0.5 + 0.2 / 100, abs=1e-12)
 
     def test_exact_average_flag(self):
         cfg = self.cfg(exact=True)
-        rs = [schedule_ratio(k, cfg) for k in range(1, 101)]
+        rs = [schedule_ratio(k, 100, cfg) for k in range(1, 101)]
         assert np.mean(rs) == pytest.approx(0.5, abs=1e-12)
 
     def test_clamps_negative_start(self):
-        cfg = self.cfg(r=0.3, rmax=0.9, k=10)
-        assert schedule_ratio(1, cfg) == 0.0
+        cfg = self.cfg(r=0.3, rmax=0.9)
+        assert schedule_ratio(1, 10, cfg) == 0.0
 
     def test_epoch_out_of_range(self):
         with pytest.raises(ValueError):
-            schedule_ratio(0, self.cfg())
+            schedule_ratio(0, 100, self.cfg())
+        with pytest.raises(ValueError):
+            schedule_ratio(11, 10, self.cfg())
 
 
 class TestSampling:
     def make(self, p):
         from sadp.pruning import ProbabilityAssignment
-        return ProbabilityAssignment(probabilities=np.asarray(p, float),
-                                     expected_size=float(np.sum(p)))
+        return ProbabilityAssignment(probabilities=np.asarray(p, float))
 
     def test_deterministic_endpoints(self):
         a = self.make([1.0, 0.0, 1.0, 0.0])
@@ -240,20 +255,18 @@ class TestSampling:
 class TestLossWeights:
     def test_full_data_weight_one(self):
         from sadp.pruning import ProbabilityAssignment
-        a = ProbabilityAssignment(probabilities=np.ones(4), expected_size=4.0)
+        a = ProbabilityAssignment(probabilities=np.ones(4))
         w = loss_weights(a, np.ones(4), 4, 4)
         np.testing.assert_array_equal(w, 1.0)
 
     def test_half_probability_half_target(self):
         from sadp.pruning import ProbabilityAssignment
-        a = ProbabilityAssignment(probabilities=np.full(4, 0.5),
-                                  expected_size=2.0)
+        a = ProbabilityAssignment(probabilities=np.full(4, 0.5))
         w = loss_weights(a, np.array([1, 0, 1, 0]), 4, 2)
         np.testing.assert_allclose(w, 1.0)
 
     def test_zero_probability_selected_rejected(self):
         from sadp.pruning import ProbabilityAssignment
-        a = ProbabilityAssignment(probabilities=np.array([0.0, 1.0]),
-                                  expected_size=1.0)
+        a = ProbabilityAssignment(probabilities=np.array([0.0, 1.0]))
         with pytest.raises(RuntimeError):
             loss_weights(a, np.array([1, 1]), 2, 1)

@@ -181,19 +181,19 @@ class TestBackward:
         assert all(a is b for a, b in zip(bt.inputs, trace.spikes[:-1]))
         assert len(bt.inputs) == len(bt.errors) == len(net)
 
-    @pytest.mark.parametrize("detached", [True, False])
-    def test_smooth_mode_matches_finite_differences(self, detached):
+    @pytest.mark.parametrize("fd_seed", [0, 1])
+    def test_smooth_mode_matches_finite_differences(self, fd_seed):
         from sadp.oracle import fd_gradient_check
-        # Non-detached reset makes BPTT the exact gradient of the smooth
-        # forward; the detached variant still tracks it closely here because
-        # the reset path contribution is small.
+        # The reset stays attached: only then is BPTT the exact gradient of
+        # the smooth forward pass.  A detached reset drops the reset path
+        # from BPTT, so it would not match finite differences.
         cfg = NeuronConfig(decay=0.6, threshold=1.0, surrogate_width=1.0,
                            reset_detached=False, time_steps=3)
         net = Network.from_arch("dense:8,dense:3", (10,), seed=6)
         rng = np.random.default_rng(8)
         x = (rng.random((5, 3, 10)) < 0.5).astype(float)
         y = rng.integers(0, 3, 5)
-        err = fd_gradient_check(net, x, y, cfg, trials=40, seed=detached)
+        err = fd_gradient_check(net, x, y, cfg, trials=40, seed=fd_seed)
         assert err <= 1e-4
 
     def test_conv_smooth_mode_matches_finite_differences(self):

@@ -90,8 +90,7 @@ class TestRunTraining:
             net, train, test, ncfg = small_problem()
             opt = OptimizerState(base_lr=0.05, momentum=0.9)
             state = TrainState(epochs=4, batch_size=32)
-            pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, epochs=4,
-                               smoothing_constant=0.3)
+            pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, smoothing_constant=0.3)
             rows = run_training(net, train, test, ncfg, pcfg, opt, state)
             results.append((net.weights, rows))
         for wa, wb in zip(results[0][0], results[1][0]):
@@ -103,7 +102,7 @@ class TestRunTraining:
 
     def test_zero_ratio_matches_plain_run(self):
         outcomes = []
-        for pcfg in (None, PruneConfig(ratio=0.0, max_ratio=0.0, epochs=5,
+        for pcfg in (None, PruneConfig(ratio=0.0, max_ratio=0.0,
                                        smoothing_constant=0.3)):
             net, train, test, ncfg = small_problem()
             opt = OptimizerState(base_lr=0.05, momentum=0.9)
@@ -117,6 +116,20 @@ class TestRunTraining:
             da.pop("wall_s"), db.pop("wall_s")
             assert da == db
 
+    def test_full_target_skips_solver_and_draw(self, monkeypatch):
+        """An epoch whose target is every example selects all of them
+        without solving for probabilities or drawing a mask."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solver or draw called at target N")
+        monkeypatch.setattr("sadp.training.smooth_probabilities", forbidden)
+        monkeypatch.setattr("sadp.training.sample_mask", forbidden)
+        net, train, test, ncfg = small_problem()
+        opt = OptimizerState(base_lr=0.05, momentum=0.9)
+        pcfg = PruneConfig(ratio=0.0, max_ratio=0.0, smoothing_constant=0.3)
+        rows = run_training(net, train, test, ncfg, pcfg, opt,
+                            TrainState(epochs=2, batch_size=32))
+        assert [r.processed for r in rows] == [train.n, train.n]
+
     def test_training_keeps_no_per_example_gradients(self, monkeypatch):
         traces = []
 
@@ -126,8 +139,7 @@ class TestRunTraining:
         monkeypatch.setattr("sadp.training.backward_bptt", recording)
         net, train, test, ncfg = small_problem()
         opt = OptimizerState(base_lr=0.05, momentum=0.9)
-        pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, epochs=2,
-                           smoothing_constant=0.3)
+        pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, smoothing_constant=0.3)
         run_training(net, train, test, ncfg, pcfg, opt,
                      TrainState(epochs=2, batch_size=32))
         assert traces and all(bt.per_example_grads == [] for bt in traces)
@@ -136,8 +148,7 @@ class TestRunTraining:
         net, train, test, ncfg = small_problem(n=256)
         opt = OptimizerState(base_lr=0.05, momentum=0.9)
         state = TrainState(epochs=8, batch_size=32)
-        pcfg = PruneConfig(ratio=0.5, max_ratio=0.5, epochs=8,
-                           smoothing_constant=0.2)
+        pcfg = PruneConfig(ratio=0.5, max_ratio=0.5, smoothing_constant=0.2)
         rows = run_training(net, train, test, ncfg, pcfg, opt, state)
         n = train.n
         sigma = np.sqrt(n * 0.25)
@@ -149,8 +160,7 @@ class TestRunTraining:
         net, train, test, ncfg = small_problem()
         opt = OptimizerState(base_lr=0.05, momentum=0.9)
         state = TrainState(epochs=3, batch_size=32)
-        pcfg = PruneConfig(ratio=0.3, max_ratio=0.5, epochs=3,
-                           smoothing_constant=0.3)
+        pcfg = PruneConfig(ratio=0.3, max_ratio=0.5, smoothing_constant=0.3)
         rows = run_training(net, train, test, ncfg, pcfg, opt, state,
                             score_kind="loss")
         assert len(rows) == 3
