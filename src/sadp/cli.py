@@ -14,7 +14,7 @@ import zipfile
 import numpy as np
 
 from . import oracle, verify
-from .config import RunConfig, UsageError, parse_config, parse_score_layers
+from .config import UsageError, parse_config, parse_score_layers
 from .data import (DatasetHandle, atomic_write_bytes, encode,
                    gen_synthetic_split, load_idx, read_spike_file,
                    write_metrics, write_spike_file)
@@ -37,7 +37,7 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def neuron_config(cfg: RunConfig, time_steps: int) -> NeuronConfig:
+def neuron_config(cfg: dict, time_steps: int) -> NeuronConfig:
     return NeuronConfig(decay=cfg["neuron.lambda"],
                         threshold=cfg["neuron.threshold"],
                         surrogate_width=cfg["neuron.surrogate_width"],
@@ -56,7 +56,16 @@ def _reading(what: str, path: str):
         raise UsageError(f"cannot read {what} {path}: {reason}") from exc
 
 
-def load_dataset(cfg: RunConfig) -> tuple[DatasetHandle, DatasetHandle]:
+@contextlib.contextmanager
+def _config_values():
+    """Report a config value that a run record rejects as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
+
+
+def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
     """Resolve the configured dataset into pre-encoded train/test handles.
 
     dataset.path may be an SPKT file or "images.idx:labels.idx" (static IDX
@@ -94,7 +103,7 @@ def load_dataset(cfg: RunConfig) -> tuple[DatasetHandle, DatasetHandle]:
                                seed=cfg["seed.init"])
 
 
-def build_network(cfg: RunConfig, train: DatasetHandle) -> Network:
+def build_network(cfg: dict, train: DatasetHandle) -> Network:
     arch = cfg["net.arch"]
     shape = train.input_shape
     if arch.lstrip().startswith("conv") and len(shape) == 2:
@@ -119,29 +128,29 @@ def load_weights(path: str) -> Network:
     return net
 
 
-def _prune_config(cfg: RunConfig) -> PruneConfig | None:
-    if not cfg["prune.enabled"]:
-        return None
+def _prune_config(cfg: dict) -> PruneConfig:
     return PruneConfig(ratio=cfg["prune.ratio"], max_ratio=cfg["prune.max_ratio"],
                        smoothing_constant=cfg["prune.beta"],
                        seed=cfg["seed.sample"],
                        exact_average=cfg["prune.exact_average"])
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: dict) -> int:
     train, test = load_dataset(cfg)
     t = train.time_steps
     if t is None:
         raise UsageError("training requires pre-encoded spike data")
-    net = build_network(cfg, train)
-    ncfg = neuron_config(cfg, t)
-    opt = OptimizerState(base_lr=cfg["train.lr"], momentum=cfg["train.momentum"],
-                         weight_decay=cfg["train.weight_decay"],
-                         schedule=cfg["train.lr_schedule"])
-    state = TrainState(epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
-                       seed_sample=cfg["seed.sample"],
-                       seed_shuffle=cfg["seed.shuffle"])
-    metrics = run_training(net, train, test, ncfg, _prune_config(cfg), opt, state,
+    with _config_values():
+        net = build_network(cfg, train)
+        ncfg = neuron_config(cfg, t)
+        opt = OptimizerState(base_lr=cfg["train.lr"], momentum=cfg["train.momentum"],
+                             weight_decay=cfg["train.weight_decay"],
+                             schedule=cfg["train.lr_schedule"])
+        state = TrainState(epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
+                           seed_sample=cfg["seed.sample"],
+                           seed_shuffle=cfg["seed.shuffle"])
+        pcfg = _prune_config(cfg) if cfg["prune.enabled"] else None
+    metrics = run_training(net, train, test, ncfg, pcfg, opt, state,
                            score_layers=parse_score_layers(cfg["score.layers"],
                                                            len(net)),
                            score_kind=cfg["prune.score"])
@@ -153,7 +162,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: dict) -> int:
     passed, lines = verify.run_suite(seed=cfg["seed.init"])
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
@@ -161,23 +170,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: dict) -> int:
     train, _ = load_dataset(cfg)
+    with _config_values():
+        ncfg = neuron_config(cfg, train.time_steps)
+        pcfg = _prune_config(cfg)
+    n = train.n
+    target = int(round((1.0 - pcfg.ratio) * n))
+    if target == 0:
+        raise UsageError(f"invalid config: prune.ratio {pcfg.ratio} keeps "
+                         f"no example of N={n}")
     net = load_weights(cfg["out.weights"])
-    ncfg = neuron_config(cfg, train.time_steps)
     layers = parse_score_layers(cfg["score.layers"], len(net))
     rep = oracle.exact_grad_norms(net, train.data, train.labels, ncfg, layers)
     corr = rep.correlations()
-    n = train.n
-    target = int(round((1.0 - cfg["prune.ratio"]) * n))
-    beta = cfg["prune.beta"]
     rows = ["method,variance"]
     for name, scores in (("spike_aware", rep.scores), ("loss", rep.losses),
                          ("uniform", None)):
         if scores is None:
             p = np.full(n, target / n)
         else:
-            p = smooth_probabilities(scores + 1e-12, target, beta).probabilities
+            p = smooth_probabilities(scores + 1e-12, target,
+                                     pcfg.smoothing_constant).probabilities
         p = np.clip(p, 1e-9, 1.0)
         rows.append(f"{name},{oracle.variance_formula(rep.full_norms, p, n):.10g}")
     summary = (f"examples: {n}\n"
@@ -190,8 +204,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gen_data(cfg: RunConfig) -> int:
-    cfg.require("dataset.path")
+def cmd_gen_data(cfg: dict) -> int:
+    if not cfg["dataset.path"]:
+        raise UsageError("missing required config key: dataset.path")
     if cfg["dataset.synthetic.n"] <= 0:
         raise UsageError("missing required config key: dataset.synthetic.n")
     from .data import gen_synthetic

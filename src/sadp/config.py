@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -70,21 +68,8 @@ def default_max_ratio(ratio: float) -> float:
     return float(max(ratio, np.interp(ratio, _RATIO_ANCHORS, _RMAX_ANCHORS)))
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def require(self, key: str) -> None:
-        v = self.values.get(key)
-        if v in ("", 0, None):
-            raise UsageError(f"missing required config key: {key}")
-
-
 def parse_config(path: str | None = None,
-                 overrides: list[str] | None = None) -> RunConfig:
+                 overrides: list[str] | None = None) -> dict:
     """Read a key=value config file plus command-line overrides.
 
     Lines are `key = value`; `#` starts a comment; unknown keys are rejected.
@@ -130,7 +115,7 @@ def parse_config(path: str | None = None,
                          f"got {values['prune.score']!r}")
     if values["encode.mode"] not in ("direct", "rate"):
         raise UsageError("encode.mode must be direct or rate")
-    return RunConfig(values)
+    return values
 
 
 def parse_score_layers(text: str, n_layers: int) -> tuple[int, ...]:

@@ -289,15 +289,15 @@ def fd_gradient_check(net: Network, data: Array, labels: Array, cfg: NeuronConfi
     return worst
 
 
-def project_to_capped_simplex(v: Array, total: float, iters: int = 100) -> Array:
-    """Project onto {p : sum p = total, 0 <= p <= 1} by bisection on a shift.
+def project_to_capped_simplex(v: Array, total: float) -> Array:
+    """Project onto {p : sum p = total, 0 <= p <= 1} by 100 bisections on a shift.
 
     Works along the last axis: v is one vector or a batch of rows.
     """
     v = np.asarray(v, dtype=np.float64)
     lo = v.min(axis=-1, keepdims=True) - 1.0 - total
     hi = v.max(axis=-1, keepdims=True) + 1.0
-    for _ in range(iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         over = np.clip(v - mid, 0.0, 1.0).sum(axis=-1, keepdims=True) > total
         lo = np.where(over, mid, lo)

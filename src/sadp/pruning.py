@@ -39,7 +39,8 @@ class PruneConfig:
         if not self.ratio <= self.max_ratio <= 1.0:
             raise ValueError(f"max_ratio must lie in [ratio, 1], got {self.max_ratio}")
         if not 0.0 <= self.smoothing_constant < 1.0:
-            raise ValueError("smoothing constant must lie in [0, 1)")
+            raise ValueError(f"smoothing constant must lie in [0, 1), "
+                             f"got {self.smoothing_constant}")
 
 
 @dataclass
@@ -140,14 +141,18 @@ def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignm
 
 def smooth_probabilities(scores: Array, target_size: float,
                          beta: float) -> ProbabilityAssignment:
-    """Enforce a probability floor of beta via a uniform score offset.
+    """Enforce a probability floor of beta via one uniform score offset.
 
-    If the smallest nonzero-score probability already reaches beta (or beta
-    is 0) this is the identity.  Otherwise an offset gamma is added to every
-    score of the unclipped set so that the smallest nonzero-score probability
-    lands exactly on beta; zero-score examples receive the offset too, so no
-    example is permanently starved.  The sum constraint and score ordering
-    are preserved.
+    Identity when beta is 0 or the smallest nonzero-score probability already
+    reaches beta.  Otherwise, on the unclipped set R of the base solve, with
+    G = sum_R g and c = S - |clipped|, gamma = (beta*G - c*g_min)/(c - beta*|R|)
+    and p_R = (g + gamma)*c/(G + |R|*gamma) put that probability exactly on
+    beta; zero-score examples get the offset too, so none is starved.  No
+    re-solve is needed: (g_i + gamma)/(G + |R|*gamma) lies between g_i/G and
+    1/|R|, so p_i lies between its base value and the mean c/|R| of R, the
+    largest p in R can only fall, and no new example clips.  If
+    c - beta*|R| <= 0 no offset reaches the floor; R's nonzero-score examples
+    then share c uniformly, with a logged warning.
     """
     if not 0.0 <= beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
@@ -155,44 +160,28 @@ def smooth_probabilities(scores: Array, target_size: float,
     if beta == 0.0:
         return base
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
     p = base.probabilities.copy()
     in_r = p < 1.0
     nz = in_r & (scores > 0)
     if not np.any(nz) or p[nz].min() >= beta - 1e-12:
         return base
 
-    # Re-solving after the offset can clip new examples; loop until stable.
-    gamma = 0.0
-    for _ in range(n):
-        r_count = int(in_r.sum())
-        c = target_size - (n - r_count)
-        g_min = scores[nz].min()
-        g_sum = scores[nz].sum()
-        denom = c - beta * r_count
-        if denom <= 0:
-            logger.warning("smoothing constant %.3g infeasible for |R|=%d, c=%.3g; "
-                           "falling back to uniform probabilities", beta, r_count, c)
-            p[in_r] = 0.0
-            p[nz] = c / int(nz.sum())
-            gamma = 0.0
-            break
-        gamma = (beta * g_sum - c * g_min) / denom
-        if gamma < 0.0:
-            gamma = 0.0
-        shifted = np.where(in_r, scores + gamma, 0.0)
-        p[in_r] = shifted[in_r] * (c / shifted[in_r].sum())
-        over = in_r & (p >= 1.0 - CLAMP_TOL)
-        if not np.any(over):
-            break
-        p[over] = 1.0
-        in_r &= ~over
-        nz = in_r & (scores > 0)
-        if not np.any(nz):
-            break
+    r_count = int(in_r.sum())
+    c = target_size - (scores.size - r_count)
+    denom = c - beta * r_count
+    if denom <= 0:
+        logger.warning("smoothing constant %.3g infeasible for |R|=%d, c=%.3g; "
+                       "falling back to uniform probabilities", beta, r_count, c)
+        p[in_r] = 0.0
+        p[nz] = c / int(nz.sum())
+        gamma = 0.0
+    else:
+        gamma = (beta * scores[nz].sum() - c * scores[nz].min()) / denom
+        shifted = scores[in_r] + gamma
+        p[in_r] = shifted * (c / shifted.sum())
     return ProbabilityAssignment(probabilities=p, gamma=float(gamma),
                                  alpha=base.alpha,
-                                 clipped_count=n - int(in_r.sum()),
+                                 clipped_count=base.clipped_count,
                                  iterations=base.iterations)
 
 

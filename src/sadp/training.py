@@ -51,6 +51,10 @@ class TrainState:
     seed_sample: int = 1
     seed_shuffle: int = 2
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+
 
 def sgd_step(weights: list[Array], grads: list[Array], opt: OptimizerState) -> list[Array]:
     """In-place SGD with momentum and weight decay."""
@@ -74,12 +78,14 @@ def cosine_lr(k: int, total_epochs: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * (k - 1) / total_epochs)) / 2.0
 
 
-def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig,
-             batch_size: int = 256) -> float:
+EVAL_BATCH = 256
+
+
+def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
     """Classification accuracy on a pre-encoded dataset."""
     correct = 0
-    for start in range(0, handle.n, batch_size):
-        stop = min(start + batch_size, handle.n)
+    for start in range(0, handle.n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, handle.n)
         _, lo = forward(net, handle.data[start:stop], handle.labels[start:stop], cfg)
         correct += int((lo.logits.argmax(axis=1) == handle.labels[start:stop]).sum())
     return correct / handle.n
@@ -122,16 +128,11 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
 
         rk = schedule_ratio(k, state.epochs, pcfg) if pcfg is not None else 0.0
         target = int(round((1.0 - rk) * n))
-        if target <= 0:
-            logger.warning("epoch %d: empty target subset (r_k=%.3f); skipped", k, rk)
-            metrics.append(MetricsRow(k, rk, 0, math.nan, math.nan,
-                                      time.perf_counter() - t0, 0.0, 0))
-            continue
-        if target == n:
-            # S = N forces every probability to 1, and a draw at p = 1 selects
-            # everything; skip the solver and the draw.
-            assignment = ProbabilityAssignment(probabilities=np.ones(n))
-            mask = np.ones(n, dtype=np.int64)
+        if target in (0, n):
+            # S = 0 or N forces every probability to S/N, 0 or 1, and that
+            # fixes the mask; skip the solver and the draw.
+            assignment = ProbabilityAssignment(probabilities=np.full(n, target / n))
+            mask = np.full(n, target // n, dtype=np.int64)
         else:
             assignment = _probabilities_for_epoch(scores, target,
                                                   pcfg.smoothing_constant,
@@ -140,7 +141,7 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
 
         selected = np.flatnonzero(mask)
         if selected.size == 0:
-            logger.warning("epoch %d: Bernoulli draw selected no examples; skipped", k)
+            logger.warning("epoch %d: no examples selected (r_k=%.3f); skipped", k, rk)
             metrics.append(MetricsRow(k, rk, 0, math.nan, math.nan,
                                       time.perf_counter() - t0, assignment.gamma,
                                       assignment.iterations))

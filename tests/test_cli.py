@@ -106,6 +106,25 @@ class TestConfig:
         with pytest.raises(UsageError):
             parse_config("/nonexistent/run.cfg", [])
 
+    @pytest.mark.parametrize("command, override", [
+        ("train", "prune.ratio=1.0"), ("train", "prune.max_ratio=0.2"),
+        ("train", "prune.beta=1.5"), ("train", "neuron.lambda=0"),
+        ("train", "train.lr=0"), ("train", "train.lr_schedule=step"),
+        ("train", "train.batch=0"), ("train", "net.arch=foo:3"),
+        ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995")])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
+                                               command, override):
+        """An out-of-range config value exits 2 with one error line."""
+        cfg = write_config(tmp_path, BASE_CFG + "prune.enabled = true\n")
+        args = [command, "-c", cfg, "-o", override,
+                "-o", f"out.metrics={tmp_path}/m.csv",
+                "-o", f"out.weights={tmp_path}/w.npz",
+                "-o", f"out.report={tmp_path}/r.txt"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid config: ")
+
     def test_score_layers(self):
         assert parse_score_layers("last", 3) == (2,)
         assert parse_score_layers("all", 3) == (0, 1, 2)

@@ -167,6 +167,9 @@ class TestSmoothing:
             a = smooth_probabilities(g, s, beta)
             p = a.probabilities
             assert p.sum() == pytest.approx(s, abs=1e-9)
+            # The offset only pulls p toward the mean of the unclipped set.
+            assert a.clipped_count == solve_probabilities(g, s).clipped_count
+            assert p.max() <= 1.0
             nz = (p < 1.0) & (g > 0)
             if a.gamma > 0 and np.any(nz):
                 assert p[nz].min() == pytest.approx(beta, abs=1e-9)

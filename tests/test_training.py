@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ class TestRunTraining:
         rows = run_training(net, train, test, ncfg, pcfg, opt,
                             TrainState(epochs=2, batch_size=32))
         assert [r.processed for r in rows] == [train.n, train.n]
+
+    def test_empty_target_epoch_is_skipped(self):
+        """An epoch whose target rounds to 0 trains nothing and writes a row
+        of NaNs; the run still returns a row for every epoch."""
+        net, train, test, ncfg = small_problem()
+        opt = OptimizerState(base_lr=0.05, momentum=0.9)
+        pcfg = PruneConfig(ratio=0.9, max_ratio=1.0, smoothing_constant=0.05)
+        rows = run_training(net, train, test, ncfg, pcfg, opt,
+                            TrainState(epochs=3, batch_size=32))
+        assert len(rows) == 3
+        assert rows[0].processed > 0 and rows[1].processed > 0
+        last = rows[-1]
+        assert int(round((1.0 - last.ratio) * train.n)) == 0
+        assert last.processed == 0
+        assert math.isnan(last.train_loss) and math.isnan(last.test_acc)
+        assert last.gamma == 0.0 and last.solver_iters == 0
 
     def test_training_keeps_no_per_example_gradients(self, monkeypatch):
         traces = []
