@@ -183,7 +183,11 @@ def cmd_analyze(cfg: dict) -> int:
     net = load_weights(cfg["out.weights"])
     layers = parse_score_layers(cfg["score.layers"], len(net))
     rep = oracle.exact_grad_norms(net, train.data, train.labels, ncfg, layers)
-    corr = rep.correlations()
+    try:
+        corr = rep.correlations()
+    except oracle.UndefinedCorrelationError as exc:
+        raise UsageError("cannot correlate constant scores or gradient norms "
+                         "(does the net spike?)") from exc
     rows = ["method,variance"]
     for name, scores in (("spike_aware", rep.scores), ("loss", rep.losses),
                          ("uniform", None)):

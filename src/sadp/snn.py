@@ -182,6 +182,8 @@ class Network:
                                  kernel_size=kh, stride=stride, padding=padding)
             else:
                 raise ValueError(f"cannot parse layer token {token!r}")
+            if spec.output_shape[0] < 1:
+                raise ValueError(f"layer {token!r} needs at least one unit or channel")
             bound = init_scale * math.sqrt(3.0 / spec.fan_in)
             w = rng.uniform(-bound, bound, size=spec.weight_shape)
             layers.append((spec, w))
@@ -196,11 +198,14 @@ class ForwardTrace:
     spikes[0] is the encoded input; spikes[l] / membranes[l-1] for l >= 1 are
     layer outputs, each with shape (batch, T, *layer_shape).  Membranes are the
     post-reset potentials; the pre-reset value is membranes + threshold*spikes.
+    columns[l] holds conv layer l's im2col columns of all B*T inputs,
+    (batch*T, C*k*k, P); it is None for a dense layer.
     """
 
     spikes: list[Array]
     membranes: list[Array]
     specs: list[LayerSpec]
+    columns: list[Array | None]
 
     @property
     def time_steps(self) -> int:
@@ -224,6 +229,7 @@ class BackwardTrace:
     errors: list[Array]  # errors[l] has shape (batch, T, *layer_shape)
     inputs: list[Array]  # the forward trace's spikes[:-1], not copies
     specs: list[LayerSpec]
+    columns: list[Array | None] = field(default_factory=list)  # as in ForwardTrace
     per_example_grads: list[Array] = field(default_factory=list)
 
     def weight_grads(self, example_weights: Array | None = None) -> list[Array]:
@@ -231,10 +237,11 @@ class BackwardTrace:
 
         The weights scale the errors, so each dense layer costs one
         (B*T, out)^T @ (B*T, in) product and each conv layer one
-        (O, B*P) @ (B*P, C*k*k) product per time step.
+        (O, B*P) @ (B*P, C*k*k) product per time step, on the columns the
+        forward pass kept.
         """
         out = []
-        for spec, delta, o in zip(self.specs, self.errors, self.inputs):
+        for l, (spec, delta, o) in enumerate(zip(self.specs, self.errors, self.inputs)):
             batch, t_steps = delta.shape[:2]
             if example_weights is not None:
                 delta = delta * np.reshape(example_weights,
@@ -244,13 +251,12 @@ class BackwardTrace:
                     @ o.reshape(batch * t_steps, -1)
             else:
                 oc = spec.output_shape[0]
+                cols = self.columns[l].reshape(batch, t_steps, spec.fan_in, -1)
                 g = np.zeros((oc, spec.fan_in))
                 for t in range(t_steps):
-                    cols = im2col(o[:, t].reshape((batch,) + spec.input_shape),
-                                  spec.kernel_size, spec.stride, spec.padding)
                     d = delta[:, t].reshape(batch, oc, -1)
                     g += d.transpose(1, 0, 2).reshape(oc, -1) \
-                        @ cols.transpose(0, 2, 1).reshape(-1, spec.fan_in)
+                        @ cols[:, t].transpose(0, 2, 1).reshape(-1, spec.fan_in)
             out.append(g.reshape(spec.weight_shape) / batch)
         return out
 
@@ -281,10 +287,16 @@ def lif_step(u_prev: Array, input_current: Array, cfg: NeuronConfig,
     return u_pre - cfg.threshold * spikes, spikes
 
 
-def surrogate_grad(u: Array | float, cfg: NeuronConfig) -> Array | float:
-    """Triangular surrogate: max(0, 1 - |u - theta|/a)/a."""
-    a, th = cfg.surrogate_width, cfg.threshold
-    return np.maximum(0.0, 1.0 - np.abs(np.asarray(u, dtype=np.float64) - th) / a) / a
+def surrogate_grad(u: Array | float, cfg: NeuronConfig,
+                   overwrite: bool = False) -> Array:
+    """Triangular surrogate: max(0, 1 - |u - theta|/a)/a.  With overwrite=True
+    it is formed in u's own storage (u must then be a float64 array)."""
+    a = cfg.surrogate_width
+    z = u if overwrite else np.array(u, dtype=np.float64)
+    np.abs(np.subtract(z, cfg.threshold, out=z), out=z)
+    np.maximum(0.0, np.subtract(1.0, np.divide(z, a, out=z), out=z), out=z)
+    z /= a
+    return z
 
 
 def soft_spike(u: Array, cfg: NeuronConfig) -> Array:
@@ -317,45 +329,66 @@ def im2col(x: Array, kernel: int, stride: int, padding: int) -> Array:
 
 def col2im(cols: Array, x_shape: tuple[int, ...], kernel: int, stride: int,
            padding: int) -> Array:
-    """Adjoint of im2col: scatter-add columns back onto the input grid."""
+    """Adjoint of im2col: scatter-add columns back onto the input grid, laid
+    out (H, W, B, C) so that each of the k*k strided adds moves long rows."""
     b, c, h, w = x_shape
     ho, wo = conv_output_hw((h, w), kernel, stride, padding)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    xp = np.zeros((h + 2 * padding, w + 2 * padding, b, c))
     cols6 = cols.reshape(b, c, kernel, kernel, ho, wo)
     for i in range(kernel):
         for j in range(kernel):
-            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[:, :, i, j]
-    return xp[:, :, padding:padding + h, padding:padding + w]
+            xp[i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                cols6[:, :, i, j].transpose(2, 3, 0, 1)
+    return xp[padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
 
 
-def _conv_current(spec: LayerSpec, w: Array, x: Array) -> Array:
-    """Synaptic current of a conv layer for one time step's inputs
-    (B, *input_shape)."""
-    b = x.shape[0]
-    cols = im2col(x.reshape((b,) + spec.input_shape), spec.kernel_size,
-                  spec.stride, spec.padding)
-    out = w.reshape(w.shape[0], -1) @ cols
-    return out.reshape((b,) + spec.output_shape)
+def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
+              smooth: bool = False) -> tuple[Array, Array, Array | None]:
+    """One layer over all T steps of its inputs (B, T, *input_shape).
+
+    The synaptic current of every step is one GEMM over the B*T input rows (a
+    conv layer's after one im2col), written into the membrane record that the
+    LIF recurrence then overwrites step by step.  Returns the spikes and
+    post-reset membranes, (B, T, *output_shape) each, and a conv layer's
+    columns (None for dense).
+    """
+    b, t_steps = inputs.shape[:2]
+    u_rec = np.empty((b, t_steps) + spec.output_shape)
+    cols = None
+    if spec.kind == "dense":
+        np.matmul(inputs.reshape(b * t_steps, -1), w.T,
+                  out=u_rec.reshape(b * t_steps, -1))
+    else:
+        cols = im2col(inputs.reshape((b * t_steps,) + spec.input_shape),
+                      spec.kernel_size, spec.stride, spec.padding)
+        np.matmul(w.reshape(w.shape[0], -1), cols,
+                  out=u_rec.reshape(b * t_steps, w.shape[0], -1))
+    o_rec = np.empty_like(u_rec)
+    u = np.zeros((b,) + spec.output_shape)
+    reset = np.empty_like(u)
+    for t in range(t_steps):
+        if smooth:
+            u, o_rec[:, t] = lif_step(u, u_rec[:, t], cfg, smooth)
+        else:  # lif_step's hard threshold, in place
+            u *= cfg.decay
+            u += u_rec[:, t]
+            np.greater_equal(u, cfg.threshold, out=o_rec[:, t])
+            u -= np.multiply(o_rec[:, t], cfg.threshold, out=reset)
+        u_rec[:, t] = u
+    return o_rec, u_rec, cols
 
 
 def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
     """Map a layer's output errors (B, T, *output_shape) back to its input
-    spikes, (B, T, *input_shape).
-
-    A dense layer takes one GEMM over all B*T rows; a conv layer goes step by
-    step, so that col2im holds one step's columns at a time.
-    """
+    spikes, (B, T, *input_shape): one GEMM over all B*T rows (plus one col2im
+    for a conv layer)."""
     b, t_steps = delta.shape[:2]
     if spec.kind == "dense":
         return (delta.reshape(b * t_steps, -1) @ w).reshape(
             (b, t_steps) + spec.input_shape)
-    wf_t = w.reshape(w.shape[0], -1).T
-    out = np.empty((b, t_steps) + spec.input_shape)
-    for t in range(t_steps):
-        cols = wf_t @ delta[:, t].reshape(b, w.shape[0], -1)
-        out[:, t] = col2im(cols, (b,) + spec.input_shape, spec.kernel_size,
-                           spec.stride, spec.padding)
-    return out
+    cols = w.reshape(w.shape[0], -1).T @ delta.reshape(b * t_steps, w.shape[0], -1)
+    return col2im(cols, (b * t_steps,) + spec.input_shape, spec.kernel_size,
+                  spec.stride, spec.padding).reshape((b, t_steps) + spec.input_shape)
 
 
 def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig,
@@ -379,27 +412,12 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
 
     spikes: list[Array] = [x]
     membranes: list[Array] = []
+    columns: list[Array | None] = []
     for spec, w in net.layers:
-        u = np.zeros((batch,) + spec.output_shape)
-        o_rec = np.empty((batch, t_steps) + spec.output_shape)
-        u_rec = np.empty((batch, t_steps) + spec.output_shape)
-        prev = spikes[-1]
-        # A dense layer's current for all T steps is one GEMM over B*T rows,
-        # written into u_rec: step t reads its current from u_rec[:, t]
-        # before overwriting it with the membrane.  A conv layer's current is
-        # formed step by step, so that im2col holds one step's columns at a
-        # time.
-        dense = spec.kind == "dense"
-        if dense:
-            np.matmul(prev.reshape(batch * t_steps, -1), w.T,
-                      out=u_rec.reshape(batch * t_steps, -1))
-        for t in range(t_steps):
-            step = u_rec[:, t] if dense else _conv_current(spec, w, prev[:, t])
-            u, o = lif_step(u, step, cfg, smooth)
-            o_rec[:, t] = o
-            u_rec[:, t] = u
+        o_rec, u_rec, cols = run_layer(spec, w, spikes[-1], cfg, smooth)
         spikes.append(o_rec)
         membranes.append(u_rec)
+        columns.append(cols)
 
     logits = spikes[-1].reshape(batch, t_steps, -1).mean(axis=1)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -408,7 +426,8 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range for the output layer")
     nll = -np.log(probs[np.arange(batch), labels])
-    trace = ForwardTrace(spikes=spikes, membranes=membranes, specs=net.specs)
+    trace = ForwardTrace(spikes=spikes, membranes=membranes, specs=net.specs,
+                         columns=columns)
     loss = LossOutput(per_example_loss=nll, logits=logits, probs=probs, labels=labels)
     return trace, loss
 
@@ -419,8 +438,8 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
 
     Errors are d(per-example loss)/d(pre-reset membrane); the hard spike
     derivative is replaced by the triangular surrogate.  The returned trace
-    holds the errors and references to the input spikes, which is all the
-    batch gradient and the spike-aware score need.
+    holds the errors and references to the input spikes and conv columns,
+    which is all the batch gradient and the spike-aware score need.
     """
     if trace is None or not trace.spikes:
         raise StateError("backward_bptt needs a forward trace")
@@ -434,18 +453,23 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
     for l in range(n_layers - 1, -1, -1):
         spec = net.specs[l]
         shape = (batch, t_steps) + spec.output_shape
-        o = trace.spikes[l + 1]
-        sg = surrogate_grad(trace.membranes[l] + cfg.threshold * o, cfg)
+        # The surrogate at the pre-reset membrane, formed in one array.
+        sg = np.multiply(trace.spikes[l + 1], cfg.threshold)
+        sg += trace.membranes[l]
+        surrogate_grad(sg, cfg, overwrite=True)
         if l == n_layers - 1:
             do = (dlogits / t_steps).reshape((batch, 1) + spec.output_shape)
         else:
             do = _backproject(*net.layers[l + 1], errors[l + 1]).reshape(shape)
-        # The direct term for every step at once; the loop adds the error
-        # carried back through the membrane from the step after.
-        delta = sg * do
         carry = np.broadcast_to(cfg.decay, shape) if cfg.reset_detached \
             else cfg.decay * (1.0 - cfg.threshold * sg)
+        # The direct term for every step at once, in the surrogate's storage;
+        # the loop adds the error carried back through the membrane from the
+        # step after.
+        delta = sg
+        delta *= do
         for t in range(t_steps - 2, -1, -1):
             delta[:, t] += carry[:, t] * delta[:, t + 1]
         errors[l] = delta
-    return BackwardTrace(errors=errors, inputs=trace.spikes[:-1], specs=net.specs)
+    return BackwardTrace(errors=errors, inputs=trace.spikes[:-1], specs=net.specs,
+                         columns=trace.columns)

@@ -13,7 +13,8 @@ from .data import DatasetHandle, MetricsRow
 from .pruning import (DegenerateScoreError, ProbabilityAssignment, PruneConfig,
                       loss_score, loss_weights, sample_mask, schedule_ratio,
                       smooth_probabilities, spike_aware_score)
-from .snn import Array, NeuronConfig, Network, backward_bptt, forward
+from .snn import (Array, NeuronConfig, Network, backward_bptt, forward,
+                  run_layer)
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +55,8 @@ class TrainState:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def sgd_step(weights: list[Array], grads: list[Array], opt: OptimizerState) -> list[Array]:
@@ -78,16 +81,23 @@ def cosine_lr(k: int, total_epochs: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * (k - 1) / total_epochs)) / 2.0
 
 
-EVAL_BATCH = 256
+EVAL_BATCH = 64
 
 
 def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
-    """Classification accuracy on a pre-encoded dataset."""
+    """Classification accuracy on a pre-encoded dataset.
+
+    Runs the layers without a trace: only the spikes the next layer reads
+    are kept, and the logits are forward's mean output spike counts.
+    """
     correct = 0
     for start in range(0, handle.n, EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, handle.n)
-        _, lo = forward(net, handle.data[start:stop], handle.labels[start:stop], cfg)
-        correct += int((lo.logits.argmax(axis=1) == handle.labels[start:stop]).sum())
+        o = np.asarray(handle.data[start:start + EVAL_BATCH], dtype=np.float64)
+        for spec, w in net.layers:
+            o = run_layer(spec, w, o, cfg)[0]
+        logits = o.reshape(o.shape[0], o.shape[1], -1).mean(axis=1)
+        correct += int((logits.argmax(axis=1)
+                        == handle.labels[start:start + EVAL_BATCH]).sum())
     return correct / handle.n
 
 

@@ -111,6 +111,7 @@ class TestConfig:
         ("train", "prune.beta=1.5"), ("train", "neuron.lambda=0"),
         ("train", "train.lr=0"), ("train", "train.lr_schedule=step"),
         ("train", "train.batch=0"), ("train", "net.arch=foo:3"),
+        ("train", "net.arch=dense:0"), ("train", "train.epochs=-3"),
         ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                command, override):
@@ -276,6 +277,21 @@ class TestAnalyzeCommand:
                                  cfg["prune.beta"]).probabilities
         var = oracle.variance_formula(norms, np.clip(p, 1e-9, 1.0), train.n)
         assert lines[4] == f"spike_aware,{var:.10g}"
+
+    def test_silent_net_is_usage_error(self, tmp_path, capsys):
+        """A net that never spikes has constant scores and norms, so no
+        correlation exists: one error line and exit 2, not a traceback."""
+        common = ["-o", "dataset.synthetic.n=40",
+                  "-o", f"out.metrics={tmp_path}/m.csv",
+                  "-o", f"out.weights={tmp_path}/w.npz",
+                  "-o", f"out.report={tmp_path}/r.txt"]
+        assert main(["train", "-o", "train.epochs=1"] + common) == EXIT_OK
+        capsys.readouterr()
+        assert main(["analyze"] + common) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot correlate constant scores or gradient norms "
+            "(does the net spike?)"]
+        assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0"])
     def test_malformed_weights_file_is_usage_error(self, tmp_path, capsys,

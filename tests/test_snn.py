@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from sadp import snn
 from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
-                      UnsupportedLayerError, backward_bptt, forward, lif_step,
-                      patch_count, soft_spike, surrogate_grad)
+                      UnsupportedLayerError, backward_bptt, col2im, forward,
+                      im2col, lif_step, patch_count, soft_spike,
+                      surrogate_grad)
 
 
 def make_cfg(**kw):
@@ -121,6 +123,94 @@ class TestForward:
         spec = LayerSpec("dense", (3,), (2,))
         with pytest.raises(ValueError):
             Network([(spec, np.full((2, 3), np.nan))])
+
+
+def reference_records(net, x, cfg):
+    """Spikes and membranes of every layer from a plain loop over lif_step,
+    with each step's current formed on its own (a conv layer's from that
+    step's im2col columns)."""
+    batch, t_steps = x.shape[:2]
+    spikes, membranes, prev = [], [], x
+    for spec, w in net.layers:
+        if spec.kind == "dense":
+            current = (prev.reshape(batch * t_steps, -1) @ w.T).reshape(
+                (batch, t_steps) + spec.output_shape)
+        else:
+            current = np.stack([
+                (w.reshape(w.shape[0], -1) @ im2col(
+                    prev[:, t].reshape((batch,) + spec.input_shape),
+                    spec.kernel_size, spec.stride, spec.padding)).reshape(
+                        (batch,) + spec.output_shape)
+                for t in range(t_steps)], axis=1)
+        u = np.zeros((batch,) + spec.output_shape)
+        o_steps, u_steps = [], []
+        for t in range(t_steps):
+            u, o = lif_step(u, current[:, t], cfg)
+            o_steps.append(o)
+            u_steps.append(u)
+        prev = np.stack(o_steps, axis=1)
+        spikes.append(prev)
+        membranes.append(np.stack(u_steps, axis=1))
+    return spikes, membranes
+
+
+class TestEngine:
+    @pytest.mark.parametrize("arch, shape, detached", [
+        ("dense:20,dense:4", (12,), True),
+        ("dense:20,dense:4", (12,), False),
+        ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (1, 9, 9), True)])
+    def test_forward_matches_lif_step_loop(self, arch, shape, detached):
+        cfg = NeuronConfig(decay=0.6, threshold=0.5, reset_detached=detached,
+                           time_steps=3)
+        net = Network.from_arch(arch, shape, seed=1, init_scale=2.0)
+        rng = np.random.default_rng(2)
+        x = (rng.random((7, 3) + shape) < 0.4).astype(float)
+        trace, loss = forward(net, x, rng.integers(0, 4, 7), cfg)
+        spikes, membranes = reference_records(net, x, cfg)
+        for l, (o, u) in enumerate(zip(spikes, membranes)):
+            assert 0.0 < o.mean() < 1.0  # every layer fires, but not always
+            np.testing.assert_array_equal(trace.spikes[l + 1], o)
+            np.testing.assert_array_equal(trace.membranes[l], u)
+        np.testing.assert_array_equal(loss.logits, spikes[-1].mean(axis=1))
+
+    def test_col2im_matches_strided_adds(self):
+        b, c, h, w, k, stride, pad = 3, 2, 7, 6, 3, 2, 1
+        ho, wo = snn.conv_output_hw((h, w), k, stride, pad)
+        cols = np.random.default_rng(3).normal(size=(b, c * k * k, ho * wo))
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+        cols6 = cols.reshape(b, c, k, k, ho, wo)
+        for i in range(k):
+            for j in range(k):
+                xp[:, :, i:i + stride * ho:stride,
+                   j:j + stride * wo:stride] += cols6[:, :, i, j]
+        np.testing.assert_array_equal(
+            col2im(cols, (b, c, h, w), k, stride, pad),
+            xp[:, :, pad:pad + h, pad:pad + w])
+
+    def test_one_im2col_per_conv_layer_and_none_in_weight_grads(self, monkeypatch):
+        counts = {"im2col": 0, "col2im": 0}
+
+        def counting(name):
+            fn = getattr(snn, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        for name in counts:
+            monkeypatch.setattr(snn, name, counting(name))
+        cfg = NeuronConfig(decay=0.6, threshold=0.5, time_steps=4)
+        net = Network.from_arch("conv:4x3x3s2p1,conv:4x3x3,dense:4", (1, 9, 9),
+                                seed=1, init_scale=2.0)
+        rng = np.random.default_rng(4)
+        x = (rng.random((6, 4, 1, 9, 9)) < 0.4).astype(float)
+        trace, loss = forward(net, x, rng.integers(0, 4, 6), cfg)
+        assert counts == {"im2col": 2, "col2im": 0}
+        bt = backward_bptt(net, trace, loss, cfg)
+        # Only conv layer 1 maps its errors back onto a conv layer's output.
+        assert counts == {"im2col": 2, "col2im": 1}
+        bt.weight_grads(rng.random(6))
+        assert counts == {"im2col": 2, "col2im": 1}
 
 
 class TestPatchCount:

@@ -6,9 +6,10 @@ import pytest
 
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
-from sadp.snn import NeuronConfig, Network, backward_bptt
-from sadp.training import (NumericDivergenceError, OptimizerState, TrainState,
-                           cosine_lr, evaluate, run_training, sgd_step)
+from sadp.snn import NeuronConfig, Network, backward_bptt, forward
+from sadp.training import (EVAL_BATCH, NumericDivergenceError, OptimizerState,
+                           TrainState, cosine_lr, evaluate, run_training,
+                           sgd_step)
 
 
 def small_problem(noise=0.15, n=96, seed=0):
@@ -182,6 +183,34 @@ class TestRunTraining:
                             score_kind="loss")
         assert len(rows) == 3
         assert all(0 < r.processed <= train.n for r in rows)
+
+    def test_epoch_count_must_not_be_negative(self):
+        with pytest.raises(ValueError):
+            TrainState(epochs=-3, batch_size=32)
+        net, train, test, ncfg = small_problem()
+        before = [w.copy() for w in net.weights]
+        rows = run_training(net, train, test, ncfg, None,
+                            OptimizerState(base_lr=0.05),
+                            TrainState(epochs=0, batch_size=32))
+        assert rows == []
+        assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
+
+    def test_evaluate_matches_forward_logits_without_forward(self, monkeypatch):
+        """Accuracy equals the argmax of forward's logits on a set that is not
+        a whole number of chunks, and evaluate keeps no trace: it never calls
+        forward."""
+        net, train, _, ncfg = small_problem(n=2 * EVAL_BATCH + 7)
+        _, lo = forward(net, train.data, train.labels, ncfg)
+        expected = float(np.mean(lo.logits.argmax(axis=1) == train.labels))
+        assert 0.0 < expected < 1.0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+        monkeypatch.setattr("sadp.training.forward", counted)
+        assert evaluate(net, train, ncfg) == expected
+        assert calls == []
 
     def test_evaluate_bounds(self):
         net, train, test, ncfg = small_problem()
