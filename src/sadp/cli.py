@@ -128,11 +128,14 @@ def load_weights(path: str) -> Network:
     return net
 
 
-def _prune_config(cfg: dict) -> PruneConfig:
+def _prune_config(cfg: dict, n_layers: int) -> PruneConfig:
     return PruneConfig(ratio=cfg["prune.ratio"], max_ratio=cfg["prune.max_ratio"],
                        smoothing_constant=cfg["prune.beta"],
                        seed=cfg["seed.sample"],
-                       exact_average=cfg["prune.exact_average"])
+                       exact_average=cfg["prune.exact_average"],
+                       score=cfg["prune.score"],
+                       score_layers=parse_score_layers(cfg["score.layers"],
+                                                       n_layers))
 
 
 def cmd_train(cfg: dict) -> int:
@@ -149,11 +152,9 @@ def cmd_train(cfg: dict) -> int:
         state = TrainState(epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
                            seed_sample=cfg["seed.sample"],
                            seed_shuffle=cfg["seed.shuffle"])
-        pcfg = _prune_config(cfg) if cfg["prune.enabled"] else None
-    metrics = run_training(net, train, test, ncfg, pcfg, opt, state,
-                           score_layers=parse_score_layers(cfg["score.layers"],
-                                                           len(net)),
-                           score_kind=cfg["prune.score"])
+        pcfg = _prune_config(cfg, len(net))
+    metrics = run_training(net, train, test, ncfg,
+                           pcfg if cfg["prune.enabled"] else None, opt, state)
     write_metrics(metrics, cfg["out.metrics"])
     save_weights(net, cfg["net.arch"], net.specs[0].input_shape,
                  cfg["out.weights"])
@@ -172,17 +173,17 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_analyze(cfg: dict) -> int:
     train, _ = load_dataset(cfg)
+    net = load_weights(cfg["out.weights"])
     with _config_values():
         ncfg = neuron_config(cfg, train.time_steps)
-        pcfg = _prune_config(cfg)
+        pcfg = _prune_config(cfg, len(net))
     n = train.n
     target = int(round((1.0 - pcfg.ratio) * n))
     if target == 0:
         raise UsageError(f"invalid config: prune.ratio {pcfg.ratio} keeps "
                          f"no example of N={n}")
-    net = load_weights(cfg["out.weights"])
-    layers = parse_score_layers(cfg["score.layers"], len(net))
-    rep = oracle.exact_grad_norms(net, train.data, train.labels, ncfg, layers)
+    rep = oracle.exact_grad_norms(net, train.data, train.labels, ncfg,
+                                  pcfg.score_layers)
     try:
         corr = rep.correlations()
     except oracle.UndefinedCorrelationError as exc:

@@ -110,9 +110,6 @@ def parse_config(path: str | None = None,
         values["prune.max_ratio"] = default_max_ratio(values["prune.ratio"])
     if values["prune.beta"] is None:
         values["prune.beta"] = default_beta(values["prune.ratio"])
-    if values["prune.score"] not in ("spike_aware", "loss", "uniform"):
-        raise UsageError(f"prune.score must be spike_aware|loss|uniform, "
-                         f"got {values['prune.score']!r}")
     if values["encode.mode"] not in ("direct", "rate"):
         raise UsageError("encode.mode must be direct or rate")
     return values

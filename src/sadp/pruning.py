@@ -21,19 +21,29 @@ class ConfigError(ValueError):
     pass
 
 
-class DegenerateScoreError(ValueError):
-    """All scores are zero; the caller should fall back to uniform sampling."""
+SCORES = ("spike_aware", "loss", "uniform")
 
 
 @dataclass
 class PruneConfig:
+    """Pruning schedule, smoothing floor and importance score of a run.
+
+    score_layers are the layers the spike-aware score sums over; None means
+    the last layer.
+    """
+
     ratio: float
     max_ratio: float
     smoothing_constant: float = 0.0
     seed: int = 0
     exact_average: bool = False
+    score: str = "spike_aware"
+    score_layers: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.score not in SCORES:
+            raise ValueError(f"score must be one of {'|'.join(SCORES)}, "
+                             f"got {self.score!r}")
         if not 0.0 <= self.ratio < 1.0:
             raise ValueError(f"ratio must lie in [0, 1), got {self.ratio}")
         if not self.ratio <= self.max_ratio <= 1.0:
@@ -55,17 +65,17 @@ class ProbabilityAssignment:
 
 
 def spike_aware_score(btrace: BackwardTrace,
-                      score_layers: tuple[int, ...]) -> Array:
+                      score_layers: tuple[int, ...] | None = None) -> Array:
     """Per-example sum over layers and time of ||error|| * ||input spikes||.
 
     This upper-bounds each example's weight-gradient norm restricted to
-    score_layers.  A conv layer's term carries the sqrt(patch count) factor
-    its bound needs, so the score is always a bound.
+    score_layers (None: the last layer).  A conv layer's term carries the
+    sqrt(patch count) factor its bound needs, so the score is always a bound.
     """
-    score_layers = tuple(score_layers)
+    n_layers = len(btrace.specs)
+    score_layers = (n_layers - 1,) if score_layers is None else tuple(score_layers)
     if not score_layers:
         raise ConfigError("score_layers must not be empty")
-    n_layers = len(btrace.specs)
     for l in score_layers:
         if not 0 <= l < n_layers:
             raise ConfigError(f"score layer {l} out of range")
@@ -76,7 +86,9 @@ def spike_aware_score(btrace: BackwardTrace,
         delta = btrace.errors[l].reshape(batch, t_steps, -1)
         o_prev = btrace.inputs[l].reshape(batch, t_steps, -1)
         dn = np.sqrt((delta ** 2).sum(axis=2))
-        on = np.sqrt((o_prev ** 2).sum(axis=2))
+        # ||o||^2 as a stacked dot product, cheaper than squaring and summing:
+        # exact for 0/1 spikes, equal to that sum within round-off otherwise.
+        on = np.sqrt((o_prev[..., None, :] @ o_prev[..., None])[..., 0, 0])
         contrib = (dn * on).sum(axis=1)
         if btrace.specs[l].kind == "conv2d":
             contrib = contrib * np.sqrt(patch_count(btrace.specs[l]))
@@ -96,8 +108,6 @@ def _validate_scores(scores: Array, target_size: float) -> Array:
         raise ValueError("scores must be finite and non-negative")
     if not 0 < target_size <= n:
         raise ValueError(f"target size {target_size} out of range for N={n}")
-    if not np.any(scores > 0):
-        raise DegenerateScoreError("all scores are zero")
     return scores
 
 
@@ -107,10 +117,14 @@ def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignm
     Repeatedly sets p_i proportional to score over the still-unclipped set,
     clamps any p >= 1 to exactly 1, and redistributes the freed mass until all
     probabilities are valid.  Terminates in at most N rounds and matches the
-    sorting-based closed form.
+    sorting-based closed form.  With every score zero, every feasible p has
+    zero variance, so the uniform S/N is returned after 0 rounds.
     """
     scores = _validate_scores(scores, target_size)
     n = scores.size
+    if not np.any(scores):
+        logger.warning("all scores zero; falling back to uniform probabilities")
+        return ProbabilityAssignment(probabilities=np.full(n, target_size / n))
     p = np.zeros(n)
     in_r = np.ones(n, dtype=bool)  # examples not yet clamped at 1
     iterations = 0

@@ -204,7 +204,6 @@ class ForwardTrace:
 
     spikes: list[Array]
     membranes: list[Array]
-    specs: list[LayerSpec]
     columns: list[Array | None]
 
     @property
@@ -426,8 +425,7 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range for the output layer")
     nll = -np.log(probs[np.arange(batch), labels])
-    trace = ForwardTrace(spikes=spikes, membranes=membranes, specs=net.specs,
-                         columns=columns)
+    trace = ForwardTrace(spikes=spikes, membranes=membranes, columns=columns)
     loss = LossOutput(per_example_loss=nll, logits=logits, probs=probs, labels=labels)
     return trace, loss
 

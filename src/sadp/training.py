@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetHandle, MetricsRow
-from .pruning import (DegenerateScoreError, ProbabilityAssignment, PruneConfig,
-                      loss_score, loss_weights, sample_mask, schedule_ratio,
+from .pruning import (ProbabilityAssignment, PruneConfig, loss_score,
+                      loss_weights, sample_mask, schedule_ratio,
                       smooth_probabilities, spike_aware_score)
 from .snn import (Array, NeuronConfig, Network, backward_bptt, forward,
                   run_layer)
@@ -29,7 +29,7 @@ class OptimizerState:
     momentum: float = 0.0
     weight_decay: float = 0.0
     schedule: str = "cosine"
-    learning_rate: float = 0.0
+    learning_rate: float = field(init=False)
     momentum_buffers: list[Array] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -41,8 +41,7 @@ class OptimizerState:
             raise ValueError("weight decay must be non-negative")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr schedule {self.schedule!r}")
-        if self.learning_rate == 0.0:
-            self.learning_rate = self.base_lr
+        self.learning_rate = self.base_lr
 
 
 @dataclass
@@ -101,32 +100,19 @@ def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
     return correct / handle.n
 
 
-def _probabilities_for_epoch(scores: Array, target: int, beta: float,
-                             score_kind: str) -> ProbabilityAssignment:
-    if score_kind != "uniform":
-        try:
-            return smooth_probabilities(scores, target, beta)
-        except DegenerateScoreError:
-            logger.warning("all scores zero; falling back to uniform probabilities")
-    n = scores.size
-    return ProbabilityAssignment(probabilities=np.full(n, target / n))
-
-
 def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
                  ncfg: NeuronConfig, pcfg: PruneConfig | None,
-                 opt: OptimizerState, state: TrainState,
-                 score_layers: tuple[int, ...] | None = None,
-                 score_kind: str = "spike_aware") -> list[MetricsRow]:
+                 opt: OptimizerState, state: TrainState) -> list[MetricsRow]:
     """Train for state.epochs epochs, pruning per epoch when pcfg is given.
 
     Each epoch: schedule the pruning ratio (zero without pcfg), turn the
     (stale) scores into selection probabilities, Bernoulli-sample a subset,
-    and run weighted mini-batch SGD over it, refreshing scores for every
-    trained example from the traces already produced by the backward pass.
+    and run weighted mini-batch SGD over it.  Unless the run is plain or
+    samples uniformly, scores are refreshed for every trained example from
+    the traces already produced by the backward pass.
     """
     n = train.n
-    if score_layers is None:
-        score_layers = (len(net) - 1,)  # final layer only
+    score = pcfg.score if pcfg is not None else "uniform"
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
     scores = np.ones(n)
     metrics: list[MetricsRow] = []
@@ -138,15 +124,15 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
 
         rk = schedule_ratio(k, state.epochs, pcfg) if pcfg is not None else 0.0
         target = int(round((1.0 - rk) * n))
+        uniform = ProbabilityAssignment(probabilities=np.full(n, target / n))
         if target in (0, n):
             # S = 0 or N forces every probability to S/N, 0 or 1, and that
             # fixes the mask; skip the solver and the draw.
-            assignment = ProbabilityAssignment(probabilities=np.full(n, target / n))
+            assignment = uniform
             mask = np.full(n, target // n, dtype=np.int64)
         else:
-            assignment = _probabilities_for_epoch(scores, target,
-                                                  pcfg.smoothing_constant,
-                                                  score_kind)
+            assignment = uniform if score == "uniform" else \
+                smooth_probabilities(scores, target, pcfg.smoothing_constant)
             mask = sample_mask(assignment, [pcfg.seed, state.seed_sample, k])
 
         selected = np.flatnonzero(mask)
@@ -174,9 +160,9 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             btrace = backward_bptt(net, trace, lo, ncfg)
             grads = btrace.weight_grads(example_weights=w_batch)
             sgd_step(net.weights, grads, opt)
-            if score_kind == "spike_aware":
-                scores[idx] = spike_aware_score(btrace, score_layers)
-            elif score_kind == "loss":
+            if score == "spike_aware":
+                scores[idx] = spike_aware_score(btrace, pcfg.score_layers)
+            elif score == "loss":
                 scores[idx] = loss_score(lo)
             loss_sum += float((w_batch * lo.per_example_loss).sum())
 

@@ -37,8 +37,8 @@ def spike_batch(rng, n, t, dim, classes, density=0.4):
     return x, rng.integers(0, classes, n)
 
 
-def train_synthetic(pcfg, score_kind="spike_aware", seed=0, epochs=8,
-                    arch="dense:12,dense:4", n=96, test=True, **overrides):
+def train_synthetic(pcfg, seed=0, epochs=8, arch="dense:12,dense:4", n=96,
+                    test=True, **overrides):
     """Train a fresh network on a synthetic split; returns (net, metrics rows)."""
     params = dict(classes=4, dim=16, t=4, noise=0.15, lr=0.05, batch=32,
                   threshold=0.8, decay=0.1)
@@ -52,7 +52,7 @@ def train_synthetic(pcfg, score_kind="spike_aware", seed=0, epochs=8,
     opt = OptimizerState(base_lr=params["lr"], momentum=0.9)
     state = TrainState(epochs=epochs, batch_size=params["batch"])
     rows = run_training(net, train, test_h if test else None, ncfg, pcfg, opt,
-                        state, score_kind=score_kind)
+                        state)
     return net, rows
 
 
@@ -164,26 +164,36 @@ def check_bptt_correctness(seed: int = 0) -> tuple[bool, str]:
             f"zero-spike gradients {'exactly zero' if zero_ok else 'NONZERO'}")
 
 
-def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
-    """The batch gradient under non-uniform loss weights matches the oracle's
-    per-example gradients contracted with the same weights: dense with
-    detached and with attached reset, and conv with stride 2 and padding 1.
-    A wide surrogate gives every example a nonzero gradient in some layer,
-    and the check demands it, so no example goes unchecked."""
-    rng = np.random.default_rng(106 + seed)
-    cases = {
-        "dense detached": ("dense:16,dense:4", (24,), True),
-        "dense attached": ("dense:16,dense:4", (24,), False),
-        "conv s2p1": ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True),
-    }
-    ok, silent, parts = True, 0, []
-    for name, (arch, shape, detached) in cases.items():
+# Gradient-path cases: dense with detached and with attached reset, and conv
+# with stride 2 and padding 1; name -> (arch, input shape, reset_detached).
+GRADIENT_CASES = {
+    "dense detached": ("dense:16,dense:4", (24,), True),
+    "dense attached": ("dense:16,dense:4", (24,), False),
+    "conv s2p1": ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True),
+}
+
+
+def _gradient_cases(rng: np.random.Generator):
+    """Yield (name, net, data, labels, cfg) for each of GRADIENT_CASES: 16
+    examples at T=3 under a wide surrogate, data drawn from rng before labels.
+    """
+    for name, (arch, shape, detached) in GRADIENT_CASES.items():
         cfg = NeuronConfig(decay=0.5, surrogate_width=2.0,
                            reset_detached=detached, time_steps=3)
         net = Network.from_arch(arch, shape, seed=4, init_scale=2.0)
         data = (rng.random((16, 3) + shape) < 0.5).astype(float)
-        _, _, bt = oracle.per_example_gradients(net, data,
-                                                rng.integers(0, 4, 16), cfg)
+        yield name, net, data, rng.integers(0, 4, 16), cfg
+
+
+def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
+    """The batch gradient under non-uniform loss weights matches the oracle's
+    per-example gradients contracted with the same weights, on GRADIENT_CASES.
+    A wide surrogate gives every example a nonzero gradient in some layer,
+    and the check demands it, so no example goes unchecked."""
+    rng = np.random.default_rng(106 + seed)
+    ok, silent, parts = True, 0, []
+    for name, net, data, labels, cfg in _gradient_cases(rng):
+        _, _, bt = oracle.per_example_gradients(net, data, labels, cfg)
         w = rng.uniform(0.1, 5.0, 16)
         fused = bt.weight_grads(w)
         ok &= len(bt.per_example_grads) == len(fused) == len(net)
@@ -205,22 +215,12 @@ def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
 def check_exact_norms(seed: int = 0) -> tuple[bool, str]:
     """Per-example gradient norms from the Gram identity match norms of the
     oracle's per-example gradients, full and restricted to the first layer,
-    on the weighted-gradient cases at T=3; a silent batch gives exact zeros.
-    A wide surrogate keeps nearly every reference norm nonzero; where one is
-    zero, the relative error demands an exact zero."""
+    on GRADIENT_CASES; a silent batch gives exact zeros.  A wide surrogate
+    keeps nearly every reference norm nonzero; where one is zero, the
+    relative error demands an exact zero."""
     rng = np.random.default_rng(107 + seed)
-    cases = {
-        "dense detached": ("dense:16,dense:4", (24,), True),
-        "dense attached": ("dense:16,dense:4", (24,), False),
-        "conv s2p1": ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True),
-    }
     ok, zero_ok, parts = True, True, []
-    for name, (arch, shape, detached) in cases.items():
-        cfg = NeuronConfig(decay=0.5, surrogate_width=2.0,
-                           reset_detached=detached, time_steps=3)
-        net = Network.from_arch(arch, shape, seed=4, init_scale=2.0)
-        data = (rng.random((16, 3) + shape) < 0.5).astype(float)
-        labels = rng.integers(0, 4, 16)
+    for name, net, data, labels, cfg in _gradient_cases(rng):
         rep = oracle.exact_grad_norms(net, data, labels, cfg, (0,))
         grads = oracle.per_example_gradients(net, data, labels,
                                              cfg)[2].per_example_grads

@@ -7,6 +7,7 @@ entry named after it; the two desk-scale gates below are wall-clock and
 accuracy gates at training scale and live only here.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -51,7 +52,8 @@ def desk_scale_runs():
         accs["full"].append(rows[-1].test_acc)
         _, rows = train_synthetic(pcfg, **kw)
         accs["sadp"].append(rows[-1].test_acc)
-        _, rows = train_synthetic(pcfg, score_kind="uniform", **kw)
+        _, rows = train_synthetic(dataclasses.replace(pcfg, score="uniform"),
+                                  **kw)
         accs["random"].append(rows[-1].test_acc)
     return {k: float(np.mean(v)) for k, v in accs.items()}, time.perf_counter() - t0
 

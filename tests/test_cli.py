@@ -9,11 +9,12 @@ import pytest
 import sadp
 from sadp import oracle, verify
 from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_dataset,
-                      load_weights, main, neuron_config)
+                      load_weights, main, neuron_config, save_weights)
 from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
 from sadp.data import read_spike_file
 from sadp.pruning import smooth_probabilities, spike_aware_score
+from sadp.snn import Network
 
 
 def write_config(tmp_path, text):
@@ -112,12 +113,20 @@ class TestConfig:
         ("train", "train.lr=0"), ("train", "train.lr_schedule=step"),
         ("train", "train.batch=0"), ("train", "net.arch=foo:3"),
         ("train", "net.arch=dense:0"), ("train", "train.epochs=-3"),
+        ("train", "prune.score=spike_awre"),
+        ("train", "prune.enabled=false prune.ratio=1.0"),
         ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                command, override):
-        """An out-of-range config value exits 2 with one error line."""
+        """An out-of-range config value exits 2 with one error line, also
+        for a prune.* key of a run that does not prune.  `override` holds
+        one or more space-separated overrides."""
         cfg = write_config(tmp_path, BASE_CFG + "prune.enabled = true\n")
-        args = [command, "-c", cfg, "-o", override,
+        if command == "analyze":  # analyze reads the weights first
+            save_weights(Network.from_arch("dense:12,dense:4", (16,)),
+                         "dense:12,dense:4", (16,), str(tmp_path / "w.npz"))
+        args = [command, "-c", cfg, *(a for o in override.split()
+                                      for a in ("-o", o)),
                 "-o", f"out.metrics={tmp_path}/m.csv",
                 "-o", f"out.weights={tmp_path}/w.npz",
                 "-o", f"out.report={tmp_path}/r.txt"]

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sadp.pruning import (ConfigError, DegenerateScoreError, PruneConfig,
+from sadp.pruning import (ConfigError, PruneConfig,
                           loss_weights, sample_mask, schedule_ratio,
                           smooth_probabilities, solve_probabilities,
                           spike_aware_score, loss_score)
 from sadp.snn import (BackwardTrace, LayerSpec, LossOutput, NeuronConfig,
                       Network, forward, patch_count)
-from sadp.oracle import per_example_gradients, solve_probabilities_sorted
+from sadp.oracle import (per_example_gradients, solve_probabilities_sorted,
+                         variance_formula)
 from sadp.verify import random_score_instance
 
 
@@ -48,6 +49,16 @@ class TestSpikeAwareScore:
         exact = np.sqrt(sum((gr.reshape(8, -1) ** 2).sum(axis=1)
                             for gr in bt.per_example_grads))
         assert np.all(g >= exact - 1e-9)
+
+    def test_real_valued_inputs_match_elementwise_norms(self):
+        """The input norms come from a stacked dot product; on real-valued
+        inputs they agree with the elementwise norms to round-off."""
+        rng = np.random.default_rng(3)
+        delta, o_prev = rng.normal(size=(16, 4, 10)), rng.random((16, 4, 256))
+        expected = (np.linalg.norm(delta, axis=2)
+                    * np.linalg.norm(o_prev, axis=2)).sum(axis=1)
+        np.testing.assert_allclose(
+            spike_aware_score(dense_trace(delta, o_prev)), expected, rtol=1e-14)
 
     def test_conv_terms_carry_patch_factor_and_bound_the_norm(self):
         """A conv layer scored alone still gets its sqrt(P) factor, so the
@@ -105,9 +116,15 @@ class TestSolver:
         a = solve_probabilities(np.array([0.1, 5.0, 2.0]), 3)
         np.testing.assert_allclose(a.probabilities, 1.0)
 
-    def test_all_zero_scores_raise(self):
-        with pytest.raises(DegenerateScoreError):
-            solve_probabilities(np.zeros(5), 2)
+    def test_all_zero_scores_give_uniform(self, caplog):
+        """With every score zero every feasible p has zero variance; the
+        solver returns S/N without a round and logs the fallback."""
+        with caplog.at_level("WARNING", logger="sadp.pruning"):
+            a = solve_probabilities(np.zeros(5), 2)
+        assert np.array_equal(a.probabilities, np.full(5, 2 / 5))
+        assert a.iterations == 0
+        assert "falling back to uniform" in caplog.text
+        assert variance_formula(np.zeros(5), a.probabilities, 5) == 0.0
 
     def test_matches_sorted_oracle_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -193,6 +210,12 @@ class TestSmoothing:
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         nz = p < 1.0
         assert np.ptp(p[nz]) <= 1e-12  # uniform over the unclipped set
+
+
+class TestPruneConfig:
+    def test_unknown_score_rejected(self):
+        with pytest.raises(ValueError, match="spike_awre"):
+            PruneConfig(ratio=0.5, max_ratio=0.7, score="spike_awre")
 
 
 class TestSchedule:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sadp import pruning
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
 from sadp.snn import NeuronConfig, Network, backward_bptt, forward
@@ -57,6 +58,13 @@ class TestSgdStep:
     def test_bad_optimizer_config(self, kw):
         with pytest.raises(ValueError):
             OptimizerState(**kw)
+
+    def test_learning_rate_is_not_a_constructor_argument(self):
+        """run_training sets the rate every epoch, so a given value would be
+        ignored; the constructor refuses it."""
+        with pytest.raises(TypeError):
+            OptimizerState(base_lr=0.1, learning_rate=0.5)
+        assert OptimizerState(base_lr=0.1).learning_rate == 0.1
 
 
 class TestCosineLr:
@@ -178,11 +186,29 @@ class TestRunTraining:
         net, train, test, ncfg = small_problem()
         opt = OptimizerState(base_lr=0.05, momentum=0.9)
         state = TrainState(epochs=3, batch_size=32)
-        pcfg = PruneConfig(ratio=0.3, max_ratio=0.5, smoothing_constant=0.3)
-        rows = run_training(net, train, test, ncfg, pcfg, opt, state,
-                            score_kind="loss")
+        pcfg = PruneConfig(ratio=0.3, max_ratio=0.5, smoothing_constant=0.3,
+                           score="loss")
+        rows = run_training(net, train, test, ncfg, pcfg, opt, state)
         assert len(rows) == 3
         assert all(0 < r.processed <= train.n for r in rows)
+
+    @pytest.mark.parametrize("score", [None, "loss", "spike_aware"])
+    def test_no_spike_aware_score_unless_read(self, monkeypatch, score):
+        """A plain run and a loss-scored run never compute the spike-aware
+        score: nothing would read it.  A spike-aware run does."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pruning.spike_aware_score(*args, **kwargs)
+        monkeypatch.setattr("sadp.training.spike_aware_score", counted)
+        net, train, test, ncfg = small_problem()
+        pcfg = None if score is None else PruneConfig(
+            ratio=0.3, max_ratio=0.5, smoothing_constant=0.3, score=score)
+        run_training(net, train, test, ncfg, pcfg,
+                     OptimizerState(base_lr=0.05, momentum=0.9),
+                     TrainState(epochs=3, batch_size=32))
+        assert bool(calls) == (score == "spike_aware")
 
     def test_epoch_count_must_not_be_negative(self):
         with pytest.raises(ValueError):
