@@ -6,8 +6,8 @@ from .pruning import (ProbabilityAssignment, PruneConfig, loss_score,
                       smooth_probabilities, solve_probabilities,
                       spike_aware_score)
 from .snn import (BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
-                  NeuronConfig, Network, backward_bptt, forward, lif_step,
-                  patch_count, surrogate_grad)
+                  NeuronConfig, Network, backward_bptt, forward, patch_count,
+                  surrogate_grad)
 from .training import OptimizerState, TrainState, cosine_lr, run_training, sgd_step
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "LossOutput", "NeuronConfig", "Network", "OptimizerState",
     "ProbabilityAssignment", "PruneConfig", "TrainState",
     "backward_bptt", "cosine_lr", "forward", "gen_synthetic",
-    "gen_synthetic_split", "lif_step", "loss_score", "loss_weights",
+    "gen_synthetic_split", "loss_score", "loss_weights",
     "patch_count", "run_training", "sample_mask", "schedule_ratio", "sgd_step",
     "smooth_probabilities", "solve_probabilities", "spike_aware_score",
     "surrogate_grad",

@@ -111,6 +111,25 @@ def build_network(cfg: dict, train: DatasetHandle) -> Network:
     return Network.from_arch(arch, shape, seed=cfg["seed.init"])
 
 
+def _check_data_fits(net: Network, *handles: DatasetHandle) -> None:
+    """Reject data the net cannot run on before the engine runs: data with no
+    time axis, a per-step shape that matches layer 0 neither in shape nor in
+    size (forward's rule), or a label beyond the output layer's units."""
+    layer0 = net.specs[0].input_shape
+    units = int(np.prod(net.specs[-1].output_shape))
+    for handle in handles:
+        if handle.time_steps is None or handle.data.ndim < 3:
+            raise UsageError(f"dataset of shape {handle.data.shape} is not "
+                             "(N, T, ...) spike data")
+        shape = handle.input_shape
+        if shape != layer0 and int(np.prod(shape)) != int(np.prod(layer0)):
+            raise UsageError(f"dataset input shape {shape} does not fit "
+                             f"layer 0 input {layer0}")
+        if handle.n and int(handle.labels.max()) >= units:
+            raise UsageError(f"dataset label {int(handle.labels.max())} out of "
+                             f"range for {units} output units")
+
+
 def save_weights(net: Network, arch: str, input_shape, path: str) -> None:
     buf = io.BytesIO()
     arrays = {f"w{i}": w for i, w in enumerate(net.weights)}
@@ -140,12 +159,11 @@ def _prune_config(cfg: dict, n_layers: int) -> PruneConfig:
 
 def cmd_train(cfg: dict) -> int:
     train, test = load_dataset(cfg)
-    t = train.time_steps
-    if t is None:
-        raise UsageError("training requires pre-encoded spike data")
     with _config_values():
         net = build_network(cfg, train)
-        ncfg = neuron_config(cfg, t)
+    _check_data_fits(net, train, test)
+    with _config_values():
+        ncfg = neuron_config(cfg, train.time_steps)
         opt = OptimizerState(base_lr=cfg["train.lr"], momentum=cfg["train.momentum"],
                              weight_decay=cfg["train.weight_decay"],
                              schedule=cfg["train.lr_schedule"])
@@ -174,6 +192,7 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_analyze(cfg: dict) -> int:
     train, _ = load_dataset(cfg)
     net = load_weights(cfg["out.weights"])
+    _check_data_fits(net, train)
     with _config_values():
         ncfg = neuron_config(cfg, train.time_steps)
         pcfg = _prune_config(cfg, len(net))
@@ -195,10 +214,13 @@ def cmd_analyze(cfg: dict) -> int:
         if scores is None:
             p = np.full(n, target / n)
         else:
-            p = smooth_probabilities(scores + 1e-12, target,
+            p = smooth_probabilities(scores, target,
                                      pcfg.smoothing_constant).probabilities
-        p = np.clip(p, 1e-9, 1.0)
-        rows.append(f"{name},{oracle.variance_formula(rep.full_norms, p, n):.10g}")
+        try:
+            var = oracle.variance_formula(rep.full_norms, p, n)
+        except oracle.InfiniteVarianceError:  # p = 0 for a nonzero norm
+            var = np.inf
+        rows.append(f"{name},{var:.10g}")
     summary = (f"examples: {n}\n"
                f"pearson(spike_aware_score, grad_norm) = {corr.score_vs_norm:.6f}\n"
                f"pearson(loss, grad_norm) = {corr.loss_vs_norm:.6f}\n"

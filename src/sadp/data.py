@@ -81,15 +81,14 @@ def write_metrics(rows: Iterable[MetricsRow], path: str) -> None:
 
 
 def load_idx(path: str, labels_path: str | None = None) -> DatasetHandle:
-    """Parse a big-endian IDX file (u8 images 0x00000803 or labels 0x00000801).
-
-    Image values are normalized to [0, 1].  When labels_path is given, the
-    label vector is attached to the returned handle.
+    """Parse a big-endian u8 IDX image file of rank >= 2 (N, ...), such as
+    0x00000803, normalized to [0, 1].  When labels_path is given, its rank-1
+    label vector (0x00000801) is attached to the returned handle.
     """
     data = _read_idx_array(path)
-    if data.ndim == 1:
-        # A bare label file still yields a handle, with the vector as labels.
-        return DatasetHandle(data=data.astype(np.float64), labels=data.astype(np.int64))
+    if data.ndim < 2:
+        raise FormatError(f"IDX image file needs rank >= 2 (N, ...), "
+                          f"got rank {data.ndim}")
     labels = None
     if labels_path is not None:
         labels = _read_idx_array(labels_path)

@@ -69,8 +69,9 @@ def spike_aware_score(btrace: BackwardTrace,
     """Per-example sum over layers and time of ||error|| * ||input spikes||.
 
     This upper-bounds each example's weight-gradient norm restricted to
-    score_layers (None: the last layer).  A conv layer's term carries the
-    sqrt(patch count) factor its bound needs, so the score is always a bound.
+    score_layers (None: the last layer).  Every term carries the
+    sqrt(patch count) factor a conv layer's bound needs; a dense layer counts
+    one patch, so its factor is exactly 1 and the score is always a bound.
     """
     n_layers = len(btrace.specs)
     score_layers = (n_layers - 1,) if score_layers is None else tuple(score_layers)
@@ -89,10 +90,7 @@ def spike_aware_score(btrace: BackwardTrace,
         # ||o||^2 as a stacked dot product, cheaper than squaring and summing:
         # exact for 0/1 spikes, equal to that sum within round-off otherwise.
         on = np.sqrt((o_prev[..., None, :] @ o_prev[..., None])[..., 0, 0])
-        contrib = (dn * on).sum(axis=1)
-        if btrace.specs[l].kind == "conv2d":
-            contrib = contrib * np.sqrt(patch_count(btrace.specs[l]))
-        total += contrib
+        total += (dn * on).sum(axis=1) * np.sqrt(patch_count(btrace.specs[l]))
     return total
 
 

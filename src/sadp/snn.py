@@ -20,14 +20,6 @@ class ShapeError(ValueError):
     """Tensor dimensions do not match the layer/network contract."""
 
 
-class StateError(RuntimeError):
-    """Operation invoked without the state it requires (e.g. missing trace)."""
-
-
-class UnsupportedLayerError(ValueError):
-    """Operation not defined for this layer kind."""
-
-
 @dataclass
 class NeuronConfig:
     """Shared LIF parameters: decay, threshold, surrogate width, reset mode."""
@@ -101,11 +93,10 @@ def conv_output_hw(hw: tuple[int, int], kernel: int, stride: int,
 
 
 def patch_count(spec: LayerSpec) -> int:
-    """Number of sliding-window positions of a conv layer."""
-    if spec.kind != "conv2d":
-        raise UnsupportedLayerError("patch_count is only defined for conv2d layers")
-    h, w = spec.output_shape[1:]
-    return h * w
+    """Number of input patches a layer's kernel is applied to: a conv layer's
+    sliding-window positions (its output's H*W), and 1 for a dense layer,
+    whose kernel covers its whole input (its output has no spatial axes)."""
+    return math.prod(spec.output_shape[1:])
 
 
 class Network:
@@ -270,22 +261,6 @@ class LossOutput:
     labels: Array            # (batch,) int
 
 
-def lif_step(u_prev: Array, input_current: Array, cfg: NeuronConfig,
-             smooth: bool = False) -> tuple[Array, Array]:
-    """One LIF update: decay + integrate, threshold at >= theta, subtract reset.
-
-    With smooth=True the hard threshold is replaced by soft_spike.
-    """
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    input_current = np.asarray(input_current, dtype=np.float64)
-    if u_prev.shape != input_current.shape:
-        raise ShapeError(f"membrane {u_prev.shape} vs current {input_current.shape}")
-    u_pre = cfg.decay * u_prev + input_current
-    spikes = soft_spike(u_pre, cfg) if smooth else \
-        (u_pre >= cfg.threshold).astype(np.float64)
-    return u_pre - cfg.threshold * spikes, spikes
-
-
 def surrogate_grad(u: Array | float, cfg: NeuronConfig,
                    overwrite: bool = False) -> Array:
     """Triangular surrogate: max(0, 1 - |u - theta|/a)/a.  With overwrite=True
@@ -347,9 +322,12 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
 
     The synaptic current of every step is one GEMM over the B*T input rows (a
     conv layer's after one im2col), written into the membrane record that the
-    LIF recurrence then overwrites step by step.  Returns the spikes and
-    post-reset membranes, (B, T, *output_shape) each, and a conv layer's
-    columns (None for dense).
+    LIF recurrence then overwrites step by step.  That loop is the engine's
+    one LIF recurrence: decay, integrate, fire at >= theta, subtract the
+    reset, in place on a (B, *output_shape) state; smooth=True only swaps the
+    hard threshold for soft_spike.  Returns the spikes and post-reset
+    membranes, (B, T, *output_shape) each, and a conv layer's columns (None
+    for dense).
     """
     b, t_steps = inputs.shape[:2]
     u_rec = np.empty((b, t_steps) + spec.output_shape)
@@ -366,13 +344,13 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
     u = np.zeros((b,) + spec.output_shape)
     reset = np.empty_like(u)
     for t in range(t_steps):
+        u *= cfg.decay
+        u += u_rec[:, t]
         if smooth:
-            u, o_rec[:, t] = lif_step(u, u_rec[:, t], cfg, smooth)
-        else:  # lif_step's hard threshold, in place
-            u *= cfg.decay
-            u += u_rec[:, t]
+            o_rec[:, t] = soft_spike(u, cfg)
+        else:
             np.greater_equal(u, cfg.threshold, out=o_rec[:, t])
-            u -= np.multiply(o_rec[:, t], cfg.threshold, out=reset)
+        u -= np.multiply(o_rec[:, t], cfg.threshold, out=reset)
         u_rec[:, t] = u
     return o_rec, u_rec, cols
 
@@ -439,8 +417,6 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
     holds the errors and references to the input spikes and conv columns,
     which is all the batch gradient and the spike-aware score need.
     """
-    if trace is None or not trace.spikes:
-        raise StateError("backward_bptt needs a forward trace")
     batch, t_steps = trace.batch_size, trace.time_steps
     n_layers = len(net)
     onehot = np.zeros_like(loss.probs)

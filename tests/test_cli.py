@@ -12,7 +12,7 @@ from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_dataset,
                       load_weights, main, neuron_config, save_weights)
 from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
-from sadp.data import read_spike_file
+from sadp.data import DatasetHandle, read_spike_file, write_spike_file
 from sadp.pruning import smooth_probabilities, spike_aware_score
 from sadp.snn import Network
 
@@ -203,6 +203,45 @@ class TestTrainCommand:
         assert err[0].startswith(f"error: cannot read dataset {path}: ")
 
 
+class TestDataFitsNet:
+    SMALL = ["-o", "dataset.synthetic.n=200", "-o", "dataset.synthetic.dim=16",
+             "-o", "net.arch=dense:8,dense:4", "-o", "train.epochs=1"]
+
+    ERRORS = {
+        "train-10-classes": "dataset label 9 out of range for 4 output units",
+        "analyze-dim-64": "dataset input shape (64,) does not fit layer 0 "
+                          "input (16,)",
+        "analyze-10-classes": "dataset label 9 out of range for 4 output units",
+        "analyze-rank-1-spkt": "dataset of shape (8,) is not (N, T, ...) "
+                               "spike data"}
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_misfit_is_usage_error(self, tmp_path, capsys, case):
+        """Data the net cannot run on exits 2 with one error line before the
+        engine runs, for both commands."""
+        out = ["-o", f"out.metrics={tmp_path}/m.csv",
+               "-o", f"out.weights={tmp_path}/w.npz",
+               "-o", f"out.report={tmp_path}/r.txt"]
+        if case == "train-10-classes":
+            args = ["train"] + self.SMALL + out
+        else:
+            assert main(["train", "-o", "dataset.synthetic.classes=4"]
+                        + self.SMALL + out) == EXIT_OK
+            capsys.readouterr()
+            extra = {"analyze-dim-64": ["-o", "dataset.synthetic.classes=4",
+                                        "-o", "dataset.synthetic.dim=64"],
+                     "analyze-10-classes": [],
+                     "analyze-rank-1-spkt": ["-o", f"dataset.path={tmp_path}/d.spkt"]}
+            if case == "analyze-rank-1-spkt":
+                write_spike_file(DatasetHandle(np.zeros(10),
+                                               np.zeros(10, dtype=int)),
+                                 str(tmp_path / "d.spkt"))
+            args = ["analyze"] + self.SMALL + extra[case] + out
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {self.ERRORS[case]}"]
+
+
 class TestGenDataCommand:
     def test_round_trip_through_train(self, tmp_path, capsys):
         spkt = str(tmp_path / "d.spkt")
@@ -282,10 +321,29 @@ class TestAnalyzeCommand:
 
         last = spike_aware_score(bt, (1,))
         target = int(round((1.0 - cfg["prune.ratio"]) * train.n))
-        p = smooth_probabilities(last + 1e-12, target,
-                                 cfg["prune.beta"]).probabilities
-        var = oracle.variance_formula(norms, np.clip(p, 1e-9, 1.0), train.n)
+        p = smooth_probabilities(last, target, cfg["prune.beta"]).probabilities
+        var = oracle.variance_formula(norms, p, train.n)
         assert lines[4] == f"spike_aware,{var:.10g}"
+
+    def test_zero_probability_with_nonzero_norm_is_infinite(self, tmp_path,
+                                                           capsys, monkeypatch):
+        """The variance rows use the probabilities the method gives: with no
+        floor, an example that scores 0 gets p = 0, and its nonzero norm makes
+        that method's variance infinite."""
+        common = self.trained(tmp_path, capsys)
+        exact = oracle.exact_grad_norms
+
+        def one_zero_score(*args, **kwargs):
+            rep = exact(*args, **kwargs)
+            assert rep.full_norms[0] > 0
+            rep.scores[0] = 0.0
+            return rep
+        monkeypatch.setattr(oracle, "exact_grad_norms", one_zero_score)
+        assert main(["analyze", "-o", "prune.beta=0"] + common) == EXIT_OK
+        rows = (tmp_path / "r.txt").read_text().splitlines()[4:]
+        assert rows[0] == "spike_aware,inf"
+        for row in rows[1:]:
+            assert np.isfinite(float(row.split(",")[1]))
 
     def test_silent_net_is_usage_error(self, tmp_path, capsys):
         """A net that never spikes has constant scores and norms, so no
@@ -341,10 +399,10 @@ class TestVerifyCommand:
         assert not (tmp_path / "m.csv").exists()
 
     def test_failed_check_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(verify.CHECKS, "forced-failure",
-                            lambda seed=0: (False, "always fails"))
+        monkeypatch.setattr(verify, "CHECKS", {
+            "stub-pass": lambda seed=0: (True, "always passes"),
+            "forced-failure": lambda seed=0: (False, "always fails")})
         assert self.run_verify(tmp_path) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "FAIL forced-failure: always fails" in out
-        n = len(verify.CHECKS)
-        assert f"SOME CHECKS FAILED ({n - 1}/{n})" in out
+        assert "SOME CHECKS FAILED (1/2)" in out

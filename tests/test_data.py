@@ -41,6 +41,14 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx(str(p))
 
+    def test_rank_one_image_file_rejected(self, tmp_path):
+        """A label file given as the image file is a format error that names
+        its rank, not a dataset of labels."""
+        p = tmp_path / "labels.idx"
+        p.write_bytes(idx_bytes((3,), bytes([1, 0, 2])))
+        with pytest.raises(FormatError, match="rank 1"):
+            load_idx(str(p), str(p))
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "short.idx"
         p.write_bytes(idx_bytes((2, 4, 4), bytes(10)))

@@ -4,9 +4,8 @@ import pytest
 from sadp import snn
 from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
-                      UnsupportedLayerError, backward_bptt, col2im, forward,
-                      im2col, lif_step, patch_count, soft_spike,
-                      surrogate_grad)
+                      backward_bptt, col2im, forward, im2col, patch_count,
+                      run_layer, soft_spike, surrogate_grad)
 
 
 def make_cfg(**kw):
@@ -15,44 +14,53 @@ def make_cfg(**kw):
     return NeuronConfig(**base)
 
 
+def lif_run(currents, cfg, smooth=False):
+    """Spikes and post-reset membranes of run_layer's LIF recurrence driven by
+    exactly `currents` (B, T, n): an identity dense layer passes them on."""
+    currents = np.asarray(currents, dtype=float)
+    n = currents.shape[-1]
+    o, u, _ = run_layer(LayerSpec("dense", (n,), (n,)), np.eye(n), currents,
+                        cfg, smooth)
+    return o, u
+
+
 class TestLifStep:
     def test_integrate_and_fire(self):
         cfg = make_cfg()
-        u, s = lif_step(np.array([0.6]), np.array([0.8]), cfg)
-        assert s[0] == 1.0
-        assert u[0] == pytest.approx(0.1, abs=1e-15)
+        s, u = lif_run([[[0.6], [0.8]]], cfg)
+        np.testing.assert_array_equal(s[0, :, 0], [0.0, 1.0])
+        assert u[0, 0, 0] == 0.6
+        assert u[0, 1, 0] == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_input_fixed_point(self):
-        cfg = make_cfg()
-        u, s = lif_step(np.zeros(3), np.zeros(3), cfg)
+        s, u = lif_run(np.zeros((1, 2, 3)), make_cfg())
         assert np.all(u == 0) and np.all(s == 0)
 
     def test_threshold_equality_fires(self):
         cfg = make_cfg()
-        u, s = lif_step(np.zeros(1), np.array([cfg.threshold]), cfg)
-        assert s[0] == 1.0 and u[0] == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            lif_step(np.zeros(2), np.zeros(3), make_cfg())
+        s, u = lif_run([[[cfg.threshold]]], cfg)
+        assert s[0, 0, 0] == 1.0 and u[0, 0, 0] == 0.0
 
     def test_subtraction_reset_keeps_below_threshold(self):
         cfg = make_cfg(decay=0.9)
         rng = np.random.default_rng(0)
-        u_prev = rng.uniform(0, 1, 100)
+        u_prev = rng.uniform(0, 1, 100)  # below threshold: the first step keeps it
         current = rng.uniform(0, 1, 100)
-        u, _ = lif_step(u_prev, current, cfg)
+        _, u = lif_run(np.stack([u_prev, current])[None], cfg)
         below_2theta = cfg.decay * u_prev + current < 2 * cfg.threshold
-        assert np.all(u[below_2theta] < cfg.threshold)
+        assert np.all(u[0, 1, below_2theta] < cfg.threshold)
 
     def test_smooth_uses_soft_spike(self):
         cfg = make_cfg()
-        u_prev, current = np.array([0.2, 0.6, 1.4]), np.array([0.7, 0.2, 1.5])
-        u, s = lif_step(u_prev, current, cfg, smooth=True)
-        u_pre = cfg.decay * u_prev + current
-        np.testing.assert_array_equal(s, soft_spike(u_pre, cfg))
-        np.testing.assert_array_equal(u, u_pre - cfg.threshold * s)
-        assert 0.0 < s[0] < 1.0 and s[2] == 1.0
+        currents = np.array([[[0.2, 0.6, 1.4], [0.7, 0.2, 2.5]]])
+        s, u = lif_run(currents, cfg, smooth=True)
+        u_prev = np.zeros(3)
+        for t in range(2):
+            u_pre = cfg.decay * u_prev + currents[0, t]
+            np.testing.assert_array_equal(s[0, t], soft_spike(u_pre, cfg))
+            u_prev = u_pre - cfg.threshold * s[0, t]
+            np.testing.assert_array_equal(u[0, t], u_prev)
+        assert 0.0 < s[0, 1, 0] < 1.0 and s[0, 1, 2] == 1.0
 
 
 class TestSurrogate:
@@ -126,7 +134,7 @@ class TestForward:
 
 
 def reference_records(net, x, cfg):
-    """Spikes and membranes of every layer from a plain loop over lif_step,
+    """Spikes and membranes of every layer from a plain loop of LIF steps,
     with each step's current formed on its own (a conv layer's from that
     step's im2col columns)."""
     batch, t_steps = x.shape[:2]
@@ -145,7 +153,9 @@ def reference_records(net, x, cfg):
         u = np.zeros((batch,) + spec.output_shape)
         o_steps, u_steps = [], []
         for t in range(t_steps):
-            u, o = lif_step(u, current[:, t], cfg)
+            u_pre = cfg.decay * u + current[:, t]
+            o = (u_pre >= cfg.threshold).astype(float)
+            u = u_pre - cfg.threshold * o
             o_steps.append(o)
             u_steps.append(u)
         prev = np.stack(o_steps, axis=1)
@@ -226,9 +236,8 @@ class TestPatchCount:
         spec = LayerSpec("conv2d", (1, 4, 4), (1, 2, 2), kernel_size=2, stride=2)
         assert patch_count(spec) == 4
 
-    def test_dense_unsupported(self):
-        with pytest.raises(UnsupportedLayerError):
-            patch_count(LayerSpec("dense", (4,), (2,)))
+    def test_dense_counts_one_patch(self):
+        assert patch_count(LayerSpec("dense", (4,), (2,))) == 1
 
 
 class TestBackward:
