@@ -87,6 +87,9 @@ def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
                 handle = read_spike_file(path)
         n_test = max(handle.n // 5, 1)
         n_train = handle.n - n_test
+        if n_train < 1:
+            raise UsageError(f"dataset {path} of {handle.n} example(s) leaves "
+                             "no training example after the 80/20 split")
         train = DatasetHandle(handle.data[:n_train], handle.labels[:n_train],
                               time_steps=handle.time_steps)
         test = DatasetHandle(handle.data[n_train:], handle.labels[n_train:],

@@ -11,12 +11,13 @@ full weight gradient, and the batch gradient and the exact norms are checked
 against it.  exact_grad_norms never forms those tensors for dense layers: a
 dense layer's per-example gradient is sum_t delta_t o_t^T, so its squared
 norm is sum_{t,s} (delta_t . delta_s)(o_t . o_s), the entrywise product of
-two T x T Gram matrices per example.
+two T x T Gram matrices per example.  It makes one pass per chunk of
+NORM_CHUNK examples, so its memory beyond the dataset does not grow with N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .snn import (Array, BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
                   NeuronConfig, Network, backward_bptt, forward, im2col)
 
 MASK_CHUNK = 2000
+NORM_CHUNK = 256  # examples per exact_grad_norms pass
 
 
 class InfiniteVarianceError(ValueError):
@@ -124,27 +126,49 @@ def _squared_grad_norms(btrace: BackwardTrace) -> list[Array]:
     return out
 
 
-def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
-                     score_layers: tuple[int, ...]) -> GradNormReport:
-    """Exact per-example gradient norms plus the spike-aware bound, from one
-    forward and backward pass."""
+def _batch_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
+                 score_layers: tuple[int, ...]) -> GradNormReport:
+    """exact_grad_norms of one batch, from one forward and backward pass."""
     trace, loss = forward(net, data, labels, cfg)
     btrace = backward_bptt(net, trace, loss, cfg)
-    n = data.shape[0]
-    sq_full = np.zeros(n)
-    sq_restricted = np.zeros(n)
+    sq_full = np.zeros(data.shape[0])
+    sq_restricted = np.zeros(data.shape[0])
     for l, sq in enumerate(_squared_grad_norms(btrace)):
         sq_full += sq
         if l in score_layers:
             sq_restricted += sq
     scores = spike_aware_score(btrace, score_layers)
     all_layers = tuple(range(len(net)))
-    all_scores = scores if tuple(score_layers) == all_layers \
+    all_scores = scores if score_layers == all_layers \
         else spike_aware_score(btrace, all_layers)
     return GradNormReport(full_norms=np.sqrt(sq_full),
                           restricted_norms=np.sqrt(sq_restricted),
                           scores=scores, losses=loss.per_example_loss,
                           all_layer_scores=all_scores)
+
+
+def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
+                     score_layers: tuple[int, ...]) -> GradNormReport:
+    """Exact per-example gradient norms plus the spike-aware bound, from one
+    forward and backward pass per chunk of at most NORM_CHUNK examples.
+
+    The chunks are near-equal (np.array_split), so none is smaller than
+    NORM_CHUNK // 2 once N > NORM_CHUNK: a batch of a few examples rounds the
+    last layer's GEMM differently from a whole-batch pass.
+    """
+    n = data.shape[0]
+    chunks = max(-(-n // NORM_CHUNK), 1)
+    names = [f.name for f in fields(GradNormReport)]
+    report = GradNormReport(*(np.empty(n) for _ in names))
+    score_layers = tuple(score_layers)
+    stop = 0
+    for x, y in zip(np.array_split(data, chunks), np.array_split(labels, chunks)):
+        rows = slice(stop, stop + y.shape[0])
+        stop = rows.stop
+        part = _batch_norms(net, x, y, cfg, score_layers)
+        for name in names:
+            getattr(report, name)[rows] = getattr(part, name)
+    return report
 
 
 def solve_probabilities_sorted(scores: Array, target_size: float

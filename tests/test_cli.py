@@ -242,6 +242,25 @@ class TestDataFitsNet:
             f"error: {self.ERRORS[case]}"]
 
 
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_empty_training_split_is_usage_error(self, tmp_path, capsys,
+                                                 command):
+        """A dataset too small to leave a training example after the 80/20
+        split exits 2 with one error line, before any weights are read."""
+        spkt = tmp_path / "one.spkt"
+        write_spike_file(DatasetHandle(np.ones((1, 4, 16)),
+                                       np.zeros(1, dtype=int), time_steps=4),
+                         str(spkt))
+        args = [command, "-o", f"dataset.path={spkt}",
+                "-o", f"out.metrics={tmp_path}/m.csv",
+                "-o", f"out.weights={tmp_path}/w.npz",
+                "-o", f"out.report={tmp_path}/r.txt"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: dataset {spkt} of 1 example(s) leaves no training "
+            "example after the 80/20 split"]
+
+
 class TestGenDataCommand:
     def test_round_trip_through_train(self, tmp_path, capsys):
         spkt = str(tmp_path / "d.spkt")
@@ -284,19 +303,22 @@ class TestAnalyzeCommand:
 
     def test_one_pass_without_per_example_gradients(self, tmp_path, capsys,
                                                     monkeypatch):
+        """analyze makes one forward pass per chunk of examples and forms no
+        per-example gradient."""
         common = self.trained(tmp_path, capsys)
-        forward, calls = oracle.forward, []
+        forward, batches = oracle.forward, []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+        def counted(net, data, *args, **kwargs):
+            batches.append(data.shape[0])
+            return forward(net, data, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("analyze formed per-example gradients")
         monkeypatch.setattr(oracle, "per_example_gradients", forbidden)
         monkeypatch.setattr(oracle, "forward", counted)
+        monkeypatch.setattr(oracle, "NORM_CHUNK", 20)
         assert main(["analyze"] + common) == EXIT_OK
-        assert len(calls) == 1
+        assert batches == [16, 16, 16, 16]  # N = 64 in four chunks
 
     def test_last_layer_scores_and_all_layer_correlation(self, tmp_path, capsys):
         """At the default score.layers=last the Pearson line still compares

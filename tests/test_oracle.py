@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sadp import oracle
 from sadp.oracle import (InfiniteVarianceError, UndefinedCorrelationError,
                          estimator_stats, exact_grad_norms, fd_gradient_check,
                          measure_correlations, pearson, per_example_gradients,
@@ -35,6 +38,49 @@ class TestExactNorms:
         x, y = spike_batch(256, 4, 16, 5, 1)
         rep = exact_grad_norms(net, x, y, cfg, (0, 1))
         assert np.all(rep.scores >= rep.restricted_norms - 1e-9)
+
+
+class TestChunkedNorms:
+    """exact_grad_norms runs one pass per near-equal chunk of at most
+    NORM_CHUNK examples, and its report equals a whole-batch pass bit for bit."""
+
+    NETS = {"dense": ("dense:256,dense:10", (64,)),
+            "conv": ("conv:4x3x3s2p1,conv:4x3x3p1,dense:10", (1, 8, 8))}
+
+    @pytest.mark.parametrize("layers", ["last", "all"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 529])
+    @pytest.mark.parametrize("kind", list(NETS))
+    def test_chunks_match_whole_batch(self, monkeypatch, kind, n, layers):
+        arch, shape = self.NETS[kind]
+        net = Network.from_arch(arch, shape, seed=3)
+        cfg = NeuronConfig(decay=0.3, threshold=0.5, time_steps=4)
+        rng = np.random.default_rng(n)
+        x = (rng.random((n, 4) + shape) < 0.5).astype(float)
+        y = rng.integers(0, 10, n)
+        score_layers = (len(net) - 1,) if layers == "last" \
+            else tuple(range(len(net)))
+
+        forward, batches = oracle.forward, []
+
+        def spy(net, data, *args, **kwargs):
+            batches.append(data.shape[0])
+            return forward(net, data, *args, **kwargs)
+        monkeypatch.setattr(oracle, "forward", spy)
+        chunked = exact_grad_norms(net, x, y, cfg, score_layers)
+        chunk = oracle.NORM_CHUNK
+        assert sum(batches) == n and len(batches) == -(-n // chunk)
+        assert max(batches) <= chunk
+        if n > chunk:
+            assert min(batches) >= chunk // 2
+
+        monkeypatch.setattr(oracle, "NORM_CHUNK", n + 1)
+        whole = exact_grad_norms(net, x, y, cfg, score_layers)
+        assert batches[-1] == n
+        assert np.any(whole.full_norms > 0) and np.any(whole.scores > 0)
+        for field in dataclasses.fields(whole):
+            np.testing.assert_array_equal(getattr(chunked, field.name),
+                                          getattr(whole, field.name),
+                                          err_msg=field.name)
 
 
 class TestSortedSolver:
