@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import io
 import logging
 import os
@@ -30,11 +31,47 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
+# glibc's mallopt parameters (malloc.h) and the values main sets.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20  # the cap of glibc's own dynamic threshold on 64-bit
+TRIM_THRESHOLD = 64 * 2**20
+
 
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("SADP_LOG", "error"), logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+def _libc():
+    return ctypes.CDLL(None)
+
+
+def _keep_freed_pages() -> None:
+    """Keep freed heap memory in the process, so a run faults its working
+    set in once.
+
+    By default glibc maps every block above a dynamic threshold (128 KB at
+    start) with its own mmap, unmaps it on free, and returns the heap top to
+    the OS above 128 KB.  The engine's per-batch and per-chunk arrays are
+    larger, so each batch would fault them in again.  With blocks of up to
+    32 MB served from the heap and the top trimmed only above 64 MB, freed
+    arrays are reused.  Only `main`, the process entry point, calls this;
+    library callers keep their allocator.  Where mallopt is missing or
+    rejects a value, the default stays and one DEBUG line says so.
+    """
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, AttributeError, TypeError) as exc:
+        logger.debug("allocator left at its defaults: no mallopt (%s)", exc)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+                         (M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            logger.debug("allocator left at its default: mallopt(%d, %d) "
+                         "rejected", param, value)
 
 
 def neuron_config(cfg: dict, time_steps: int) -> NeuronConfig:
@@ -99,11 +136,12 @@ def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
         raise UsageError("missing required config key: dataset.path "
                          "(or set dataset.synthetic.n for synthetic data)")
     n = cfg["dataset.synthetic.n"]
-    return gen_synthetic_split(cfg["dataset.synthetic.classes"], n,
-                               max(n // 4, cfg["dataset.synthetic.classes"]),
-                               t, cfg["dataset.synthetic.dim"],
-                               cfg["dataset.synthetic.noise"],
-                               seed=cfg["seed.init"])
+    with _config_values():
+        return gen_synthetic_split(cfg["dataset.synthetic.classes"], n,
+                                   max(n // 4, cfg["dataset.synthetic.classes"]),
+                                   t, cfg["dataset.synthetic.dim"],
+                                   cfg["dataset.synthetic.noise"],
+                                   seed=cfg["seed.init"])
 
 
 def build_network(cfg: dict, train: DatasetHandle) -> Network:
@@ -240,12 +278,13 @@ def cmd_gen_data(cfg: dict) -> int:
     if cfg["dataset.synthetic.n"] <= 0:
         raise UsageError("missing required config key: dataset.synthetic.n")
     from .data import gen_synthetic
-    handle = gen_synthetic(cfg["dataset.synthetic.classes"],
-                           cfg["dataset.synthetic.n"],
-                           cfg["dataset.synthetic.t"],
-                           cfg["dataset.synthetic.dim"],
-                           cfg["dataset.synthetic.noise"],
-                           seed=cfg["seed.init"])
+    with _config_values():
+        handle = gen_synthetic(cfg["dataset.synthetic.classes"],
+                               cfg["dataset.synthetic.n"],
+                               cfg["dataset.synthetic.t"],
+                               cfg["dataset.synthetic.dim"],
+                               cfg["dataset.synthetic.noise"],
+                               seed=cfg["seed.init"])
     write_spike_file(handle, cfg["dataset.path"])
     print(f"wrote {handle.n} examples to {cfg['dataset.path']}")
     return EXIT_OK
@@ -257,6 +296,7 @@ COMMANDS = {"train": cmd_train, "verify": cmd_verify, "analyze": cmd_analyze,
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
+    _keep_freed_pages()
     parser = argparse.ArgumentParser(
         prog="sadp",
         description="Spiking-network training lab with variance-minimizing "

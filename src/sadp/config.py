@@ -127,4 +127,6 @@ def parse_score_layers(text: str, n_layers: int) -> tuple[int, ...]:
     for l in layers:
         if not 0 <= l < n_layers:
             raise UsageError(f"score layer {l} out of range for {n_layers} layers")
+    if len(set(layers)) != len(layers):
+        raise UsageError(f"score.layers {text!r} names a layer twice")
     return layers

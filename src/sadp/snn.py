@@ -175,6 +175,8 @@ class Network:
                 raise ValueError(f"cannot parse layer token {token!r}")
             if spec.output_shape[0] < 1:
                 raise ValueError(f"layer {token!r} needs at least one unit or channel")
+            if spec.fan_in < 1:
+                raise ValueError(f"layer {token!r} has no input: input shape {shape}")
             bound = init_scale * math.sqrt(3.0 / spec.fan_in)
             w = rng.uniform(-bound, bound, size=spec.weight_shape)
             layers.append((spec, w))

@@ -1,18 +1,25 @@
 import dataclasses
 import importlib
+import logging
+import os
+import platform
 import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sadp
-from sadp import oracle, verify
+from sadp import cli, oracle, verify
 from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_dataset,
                       load_weights, main, neuron_config, save_weights)
 from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
-from sadp.data import DatasetHandle, read_spike_file, write_spike_file
+from sadp.data import (METRICS_HEADER, DatasetHandle, read_spike_file,
+                       write_spike_file)
 from sadp.pruning import smooth_probabilities, spike_aware_score
 from sadp.snn import Network
 
@@ -35,6 +42,12 @@ train.epochs = 3
 train.batch = 32
 train.lr = 0.05
 """
+
+
+def train_args(tmp_path, out_dir, extra=""):
+    return ["train", "-c", write_config(tmp_path, BASE_CFG + extra),
+            "-o", f"out.metrics={out_dir}/m.csv",
+            "-o", f"out.weights={out_dir}/w.npz"]
 
 
 class TestConfig:
@@ -115,12 +128,16 @@ class TestConfig:
         ("train", "net.arch=dense:0"), ("train", "train.epochs=-3"),
         ("train", "prune.score=spike_awre"),
         ("train", "prune.enabled=false prune.ratio=1.0"),
+        ("train", "dataset.synthetic.classes=1"),
+        ("train", "dataset.synthetic.dim=0"), ("train", "score.layers=1,1"),
+        ("gen-data", "dataset.path=x.spkt dataset.synthetic.n=3"),
         ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
-                                               command, override):
+                                               monkeypatch, command, override):
         """An out-of-range config value exits 2 with one error line, also
         for a prune.* key of a run that does not prune.  `override` holds
         one or more space-separated overrides."""
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, BASE_CFG + "prune.enabled = true\n")
         if command == "analyze":  # analyze reads the weights first
             save_weights(Network.from_arch("dense:12,dense:4", (16,)),
@@ -143,15 +160,13 @@ class TestConfig:
             parse_score_layers("5", 3)
         with pytest.raises(UsageError):
             parse_score_layers("first", 3)
+        with pytest.raises(UsageError):
+            parse_score_layers("1,1", 3)
 
 
 class TestTrainCommand:
     def run_train(self, tmp_path, extra=""):
-        cfg = write_config(tmp_path, BASE_CFG + extra)
-        overrides = [f"out.metrics={tmp_path}/m.csv",
-                     f"out.weights={tmp_path}/w.npz"]
-        args = ["train", "-c", cfg] + [a for o in overrides for a in ("-o", o)]
-        return main(args)
+        return main(train_args(tmp_path, tmp_path, extra))
 
     def test_writes_metrics_and_weights(self, tmp_path, capsys):
         assert self.run_train(tmp_path) == EXIT_OK
@@ -201,6 +216,69 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot read dataset {path}: ")
+
+
+class TestAllocator:
+    """main, the process entry point, keeps freed heap pages in the process
+    through glibc's mallopt; nothing else changes."""
+
+    def test_main_sets_both_thresholds_before_the_command(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        monkeypatch.setattr(cli, "_libc",
+                            lambda: types.SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setitem(cli.COMMANDS, "train",
+                            lambda cfg: calls.append("train") or EXIT_OK)
+        assert main(["train"]) == EXIT_OK
+        # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20), "train"]
+
+    @pytest.mark.parametrize("libc", [
+        types.SimpleNamespace(),
+        types.SimpleNamespace(mallopt=lambda param, value: int(param != -3))],
+        ids=["no-mallopt", "rejects-mmap-threshold"])
+    def test_runs_on_without_the_setting(self, tmp_path, monkeypatch, caplog,
+                                         libc):
+        """Without mallopt, or with a value rejected, a run trains with the
+        allocator's defaults and says so in one DEBUG record."""
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        caplog.set_level(logging.DEBUG, logger="sadp")
+        assert main(train_args(tmp_path, tmp_path)) == EXIT_OK
+        fallbacks = [r for r in caplog.records if r.levelno == logging.DEBUG
+                     and "allocator left at its default" in r.getMessage()]
+        assert len(fallbacks) == 1
+
+    def test_same_output_with_and_without_the_setting(self, tmp_path):
+        """A pruned run writes the same metrics (without wall_s) and
+        bit-identical weights with the setting stubbed out and with it
+        applied, each in a fresh process."""
+        env = dict(os.environ, SADP_LOG="debug",
+                   PYTHONPATH=str(Path(sadp.__file__).parents[1]))
+        wall = METRICS_HEADER.split(",").index("wall_s")
+        outputs = {}
+        for name, stub in (("default", "cli._keep_freed_pages = lambda: None; "),
+                           ("kept", "")):
+            out = tmp_path / name
+            out.mkdir()
+            code = f"import sys; from sadp import cli; {stub}" \
+                   "sys.exit(cli.main(sys.argv[1:]))"
+            proc = subprocess.run(
+                [sys.executable, "-c", code,
+                 *train_args(tmp_path, out, "prune.enabled = true\n")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            if name == "kept" and platform.libc_ver()[0] == "glibc":
+                assert "allocator left at its default" not in proc.stderr
+            rows = [[v for i, v in enumerate(line.split(",")) if i != wall]
+                    for line in (out / "m.csv").read_text().splitlines()]
+            with np.load(out / "w.npz") as z:
+                arrays = {k: (z[k].dtype, z[k].shape, z[k].tobytes())
+                          for k in z.files}
+            outputs[name] = rows, arrays
+        assert outputs["default"] == outputs["kept"]
 
 
 class TestDataFitsNet:
