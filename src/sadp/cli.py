@@ -19,8 +19,9 @@ from .config import UsageError, parse_config, parse_score_layers
 from .data import (DatasetHandle, atomic_write_bytes, encode,
                    gen_synthetic_split, load_idx, read_spike_file,
                    write_metrics, write_spike_file)
-from .pruning import PruneConfig, smooth_probabilities
-from .snn import NeuronConfig, Network
+from .pruning import (NO_PRUNING, PruneConfig, method_probabilities,
+                      target_size)
+from .snn import NeuronConfig, Network, fits
 from .training import (NumericDivergenceError, OptimizerState, TrainState,
                        run_training)
 
@@ -154,8 +155,8 @@ def build_network(cfg: dict, train: DatasetHandle) -> Network:
 
 def _check_data_fits(net: Network, *handles: DatasetHandle) -> None:
     """Reject data the net cannot run on before the engine runs: data with no
-    time axis, a per-step shape that matches layer 0 neither in shape nor in
-    size (forward's rule), or a label beyond the output layer's units."""
+    time axis, a per-step shape whose size differs from layer 0's input
+    (forward's rule, `snn.fits`), or a label beyond the output layer's units."""
     layer0 = net.specs[0].input_shape
     units = int(np.prod(net.specs[-1].output_shape))
     for handle in handles:
@@ -163,7 +164,7 @@ def _check_data_fits(net: Network, *handles: DatasetHandle) -> None:
             raise UsageError(f"dataset of shape {handle.data.shape} is not "
                              "(N, T, ...) spike data")
         shape = handle.input_shape
-        if shape != layer0 and int(np.prod(shape)) != int(np.prod(layer0)):
+        if not fits(shape, layer0):
             raise UsageError(f"dataset input shape {shape} does not fit "
                              f"layer 0 input {layer0}")
         if handle.n and int(handle.labels.max()) >= units:
@@ -213,7 +214,8 @@ def cmd_train(cfg: dict) -> int:
                            seed_shuffle=cfg["seed.shuffle"])
         pcfg = _prune_config(cfg, len(net))
     metrics = run_training(net, train, test, ncfg,
-                           pcfg if cfg["prune.enabled"] else None, opt, state)
+                           pcfg if cfg["prune.enabled"] else NO_PRUNING, opt,
+                           state)
     write_metrics(metrics, cfg["out.metrics"])
     save_weights(net, cfg["net.arch"], net.specs[0].input_shape,
                  cfg["out.weights"])
@@ -238,7 +240,10 @@ def cmd_analyze(cfg: dict) -> int:
         ncfg = neuron_config(cfg, train.time_steps)
         pcfg = _prune_config(cfg, len(net))
     n = train.n
-    target = int(round((1.0 - pcfg.ratio) * n))
+    if n < 2:
+        raise UsageError(f"analyze needs at least 2 training examples to "
+                         f"correlate, got {n}")
+    target = target_size(pcfg.ratio, n)
     if target == 0:
         raise UsageError(f"invalid config: prune.ratio {pcfg.ratio} keeps "
                          f"no example of N={n}")
@@ -250,13 +255,11 @@ def cmd_analyze(cfg: dict) -> int:
         raise UsageError("cannot correlate constant scores or gradient norms "
                          "(does the net spike?)") from exc
     rows = ["method,variance"]
+    # The same rule that training samples by; uniform reads no score.
     for name, scores in (("spike_aware", rep.scores), ("loss", rep.losses),
-                         ("uniform", None)):
-        if scores is None:
-            p = np.full(n, target / n)
-        else:
-            p = smooth_probabilities(scores, target,
-                                     pcfg.smoothing_constant).probabilities
+                         ("uniform", rep.losses)):
+        p = method_probabilities(name, scores, target,
+                                 pcfg.smoothing_constant).probabilities
         try:
             var = oracle.variance_formula(rep.full_norms, p, n)
         except oracle.InfiniteVarianceError:  # p = 0 for a nonzero norm

@@ -144,6 +144,8 @@ def gen_synthetic(classes: int, n: int, time_steps: int, dim: int,
     """
     if classes < 2 or n < classes:
         raise ValueError("need at least 2 classes and n >= classes")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must lie in [0, 1], got {noise}")
     rng = np.random.default_rng(seed)
     protos = (rng.random((classes, time_steps, dim)) < 0.5).astype(np.float64)
     labels = np.arange(n, dtype=np.int64) % classes

@@ -204,7 +204,7 @@ def solve_probabilities_sorted(scores: Array, target_size: float
     clipped = np.minimum(g, alpha)
     p = clipped * (s / clipped.sum())
     p = np.minimum(p, 1.0)
-    return ProbabilityAssignment(probabilities=p, alpha=float(alpha),
+    return ProbabilityAssignment(probabilities=p,
                                  clipped_count=int((g >= alpha).sum()))
 
 

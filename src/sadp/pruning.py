@@ -1,5 +1,6 @@
 """Selection machinery: importance scores, variance-minimizing probabilities,
-smoothing, the dynamic pruning schedule, Bernoulli sampling, and loss weights."""
+smoothing, the dynamic pruning schedule, Bernoulli sampling, loss weights,
+and `select`, the one per-epoch selection step that combines them."""
 
 from __future__ import annotations
 
@@ -24,12 +25,13 @@ class ConfigError(ValueError):
 SCORES = ("spike_aware", "loss", "uniform")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruneConfig:
     """Pruning schedule, smoothing floor and importance score of a run.
 
     score_layers are the layers the spike-aware score sums over; None means
-    the last layer.
+    the last layer.  A run without pruning is NO_PRUNING: ratio 0 selects
+    every example in every epoch, with no score, solve or draw.
     """
 
     ratio: float
@@ -53,13 +55,15 @@ class PruneConfig:
                              f"got {self.smoothing_constant}")
 
 
+NO_PRUNING = PruneConfig(ratio=0.0, max_ratio=0.0, score="uniform")
+
+
 @dataclass
 class ProbabilityAssignment:
     """Per-example selection probabilities plus solver diagnostics."""
 
     probabilities: Array
     gamma: float = 0.0
-    alpha: float = 0.0
     clipped_count: int = 0
     iterations: int = 0
 
@@ -126,7 +130,6 @@ def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignm
     p = np.zeros(n)
     in_r = np.ones(n, dtype=bool)  # examples not yet clamped at 1
     iterations = 0
-    alpha = np.inf
     while True:
         iterations += 1
         c = target_size - (n - int(in_r.sum()))
@@ -140,13 +143,12 @@ def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignm
         ssum = scores[nz].sum()
         p[in_r] = 0.0
         p[nz] = scores[nz] * (c / ssum)
-        alpha = ssum / c if c > 0 else np.inf
         over = nz & (p >= 1.0 - CLAMP_TOL)
         if not np.any(over):
             break
         p[over] = 1.0
         in_r &= ~over
-    return ProbabilityAssignment(probabilities=p, alpha=float(alpha),
+    return ProbabilityAssignment(probabilities=p,
                                  clipped_count=n - int(in_r.sum()),
                                  iterations=iterations)
 
@@ -192,7 +194,6 @@ def smooth_probabilities(scores: Array, target_size: float,
         shifted = scores[in_r] + gamma
         p[in_r] = shifted * (c / shifted.sum())
     return ProbabilityAssignment(probabilities=p, gamma=float(gamma),
-                                 alpha=base.alpha,
                                  clipped_count=base.clipped_count,
                                  iterations=base.iterations)
 
@@ -212,6 +213,25 @@ def schedule_ratio(k: int, epochs: int, cfg: PruneConfig) -> float:
     return clamped
 
 
+def target_size(ratio: float, n: int) -> int:
+    """S, the expected number of examples kept at pruning ratio r."""
+    return int(round((1.0 - ratio) * n))
+
+
+def method_probabilities(score: str, scores: Array, target: int,
+                         beta: float) -> ProbabilityAssignment:
+    """Selection probabilities that a score kind gives at target size S.
+
+    `uniform` gives p = S/N, and so does every kind at S = 0 or N, where
+    S/N (0 or 1) is the only feasible p: no solve.  The other kinds solve for
+    the variance-minimizing p under floor beta (`smooth_probabilities`).
+    """
+    n = len(scores)
+    if score == "uniform" or target in (0, n):
+        return ProbabilityAssignment(probabilities=np.full(n, target / n))
+    return smooth_probabilities(scores, target, beta)
+
+
 def sample_mask(assignment: ProbabilityAssignment, seed) -> Array:
     """Independent Bernoulli draw per example, deterministic given the seed."""
     p = assignment.probabilities
@@ -219,15 +239,45 @@ def sample_mask(assignment: ProbabilityAssignment, seed) -> Array:
     return (rng.random(p.size) < p).astype(np.int64)
 
 
-def loss_weights(assignment: ProbabilityAssignment, mask: Array, n: int,
+def loss_weights(assignment: ProbabilityAssignment, selected: Array,
                  target_size: float) -> Array:
-    """Inverse-probability weights for the selected examples.
+    """Inverse-probability weights for the selected example indices.
 
     w_i = S/(N*p_i); with batch loss (1/B) sum w_i * loss_i the expected batch
     gradient equals the full-data mean gradient.
     """
-    selected = np.flatnonzero(mask)
     p_sel = assignment.probabilities[selected]
     if np.any(p_sel <= 0):
         raise RuntimeError("selected example has zero probability")
-    return target_size / (n * p_sel)
+    return target_size / (assignment.probabilities.size * p_sel)
+
+
+@dataclass
+class Selection:
+    """One epoch's draw: the scheduled ratio r_k, the probabilities, and the
+    selected example indices with their loss weights, in training order."""
+
+    ratio: float
+    assignment: ProbabilityAssignment
+    indices: Array
+    weights: Array
+
+
+def select(k: int, epochs: int, scores: Array, cfg: PruneConfig,
+           sample_seed: int, shuffle_seed: int) -> Selection:
+    """Epoch k's selection: r_k, p at S = target_size(r_k, N), the examples
+    drawn with seed (cfg.seed, sample_seed, k) -- at S = 0 or N, p fixes
+    them and nothing is drawn -- and their S/(N*p) weights, shuffled with
+    seed (shuffle_seed, k)."""
+    n = len(scores)
+    ratio = schedule_ratio(k, epochs, cfg)
+    target = target_size(ratio, n)
+    assignment = method_probabilities(cfg.score, scores, target,
+                                      cfg.smoothing_constant)
+    if target in (0, n):
+        selected = np.arange(target)  # none or every example
+    else:
+        selected = np.flatnonzero(sample_mask(assignment, [cfg.seed, sample_seed, k]))
+    weights = loss_weights(assignment, selected, target)
+    order = np.random.default_rng([shuffle_seed, k]).permutation(selected.size)
+    return Selection(ratio, assignment, selected[order], weights[order])

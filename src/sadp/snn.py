@@ -99,6 +99,12 @@ def patch_count(spec: LayerSpec) -> int:
     return math.prod(spec.output_shape[1:])
 
 
+def fits(shape: tuple[int, ...], input_shape: tuple[int, ...]) -> bool:
+    """Whether per-step data of `shape` can feed a layer that reads
+    `input_shape`: the sizes must match, since the layer reshapes its input."""
+    return math.prod(shape) == math.prod(input_shape)
+
+
 class Network:
     """Ordered stack of (LayerSpec, weight) pairs; adjacent shapes must compose."""
 
@@ -107,8 +113,7 @@ class Network:
             raise ValueError("network needs at least one layer")
         for i in range(1, len(layers)):
             prev, cur = layers[i - 1][0], layers[i][0]
-            if int(np.prod(prev.output_shape)) != int(np.prod(cur.input_shape)) \
-                    and prev.output_shape != cur.input_shape:
+            if not fits(prev.output_shape, cur.input_shape):
                 raise ShapeError(
                     f"layer {i} input {cur.input_shape} does not compose with "
                     f"layer {i - 1} output {prev.output_shape}")
@@ -382,8 +387,7 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     x = np.asarray(encoded_input, dtype=np.float64)
     if x.ndim < 3 or x.shape[1] != cfg.time_steps:
         raise ShapeError(f"input must be (batch, T={cfg.time_steps}, ...), got {x.shape}")
-    if tuple(x.shape[2:]) != net.specs[0].input_shape \
-            and int(np.prod(x.shape[2:])) != int(np.prod(net.specs[0].input_shape)):
+    if not fits(x.shape[2:], net.specs[0].input_shape):
         raise ShapeError(f"input shape {x.shape[2:]} does not match layer 0 "
                          f"input {net.specs[0].input_shape}")
     batch, t_steps = x.shape[0], x.shape[1]

@@ -1,4 +1,5 @@
-"""Outer training loop: schedule, probabilities, sampling, weighted SGD."""
+"""Outer training loop: per-epoch selection (`pruning.select`), weighted SGD,
+score refresh and evaluation."""
 
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetHandle, MetricsRow
-from .pruning import (ProbabilityAssignment, PruneConfig, loss_score,
-                      loss_weights, sample_mask, schedule_ratio,
-                      smooth_probabilities, spike_aware_score)
+from .pruning import (NO_PRUNING, PruneConfig, loss_score, select,
+                      spike_aware_score)
 from .snn import (Array, NeuronConfig, Network, backward_bptt, forward,
                   run_layer)
 
@@ -103,75 +103,57 @@ def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
 def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
                  ncfg: NeuronConfig, pcfg: PruneConfig | None,
                  opt: OptimizerState, state: TrainState) -> list[MetricsRow]:
-    """Train for state.epochs epochs, pruning per epoch when pcfg is given.
+    """Train for state.epochs epochs under pcfg (None: NO_PRUNING).
 
-    Each epoch: schedule the pruning ratio (zero without pcfg), turn the
-    (stale) scores into selection probabilities, Bernoulli-sample a subset,
-    and run weighted mini-batch SGD over it.  Unless the run is plain or
-    samples uniformly, scores are refreshed for every trained example from
-    the traces already produced by the backward pass.
+    Each epoch: set the learning rate, select the epoch's examples and loss
+    weights from the (stale) scores with `pruning.select`, and run weighted
+    mini-batch SGD over them.  Unless the score kind is uniform, scores are
+    refreshed for every trained example from the traces already produced by
+    the backward pass.  An epoch that selects nothing writes a row whose loss
+    and accuracy are NaN.
     """
-    n = train.n
-    score = pcfg.score if pcfg is not None else "uniform"
+    pcfg = pcfg or NO_PRUNING
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
-    scores = np.ones(n)
+    scores = np.ones(train.n)
     metrics: list[MetricsRow] = []
 
     for k in range(1, state.epochs + 1):
         t0 = time.perf_counter()
         opt.learning_rate = cosine_lr(k, state.epochs, opt.base_lr) \
             if opt.schedule == "cosine" else opt.base_lr
-
-        rk = schedule_ratio(k, state.epochs, pcfg) if pcfg is not None else 0.0
-        target = int(round((1.0 - rk) * n))
-        uniform = ProbabilityAssignment(probabilities=np.full(n, target / n))
-        if target in (0, n):
-            # S = 0 or N forces every probability to S/N, 0 or 1, and that
-            # fixes the mask; skip the solver and the draw.
-            assignment = uniform
-            mask = np.full(n, target // n, dtype=np.int64)
-        else:
-            assignment = uniform if score == "uniform" else \
-                smooth_probabilities(scores, target, pcfg.smoothing_constant)
-            mask = sample_mask(assignment, [pcfg.seed, state.seed_sample, k])
-
-        selected = np.flatnonzero(mask)
-        if selected.size == 0:
-            logger.warning("epoch %d: no examples selected (r_k=%.3f); skipped", k, rk)
-            metrics.append(MetricsRow(k, rk, 0, math.nan, math.nan,
-                                      time.perf_counter() - t0, assignment.gamma,
-                                      assignment.iterations))
-            continue
-        weights = loss_weights(assignment, mask, n, target)
-
-        shuffle_rng = np.random.default_rng([state.seed_shuffle, k])
-        order = shuffle_rng.permutation(selected.size)
-        selected = selected[order]
-        weights = weights[order]
+        sel = select(k, state.epochs, scores, pcfg, state.seed_sample,
+                     state.seed_shuffle)
 
         loss_sum = 0.0
         b = state.batch_size
-        for start in range(0, selected.size, b):
-            idx = selected[start:start + b]
-            w_batch = weights[start:start + b]
+        for start in range(0, sel.indices.size, b):
+            idx = sel.indices[start:start + b]
+            w_batch = sel.weights[start:start + b]
             trace, lo = forward(net, train.data[idx], train.labels[idx], ncfg)
             if not np.all(np.isfinite(lo.per_example_loss)):
                 raise NumericDivergenceError(f"non-finite loss in epoch {k}")
             btrace = backward_bptt(net, trace, lo, ncfg)
             grads = btrace.weight_grads(example_weights=w_batch)
             sgd_step(net.weights, grads, opt)
-            if score == "spike_aware":
+            if pcfg.score == "spike_aware":
                 scores[idx] = spike_aware_score(btrace, pcfg.score_layers)
-            elif score == "loss":
+            elif pcfg.score == "loss":
                 scores[idx] = loss_score(lo)
             loss_sum += float((w_batch * lo.per_example_loss).sum())
 
-        test_acc = evaluate(net, test, ncfg) if test is not None else math.nan
+        processed = int(sel.indices.size)
+        if processed:
+            train_loss = loss_sum / processed
+            test_acc = evaluate(net, test, ncfg) if test is not None else math.nan
+        else:
+            logger.warning("epoch %d: no examples selected (r_k=%.3f); skipped",
+                           k, sel.ratio)
+            train_loss = test_acc = math.nan
         metrics.append(MetricsRow(
-            epoch=k, ratio=rk, processed=int(selected.size),
-            train_loss=loss_sum / selected.size, test_acc=test_acc,
-            wall_s=time.perf_counter() - t0, gamma=assignment.gamma,
-            solver_iters=assignment.iterations))
+            epoch=k, ratio=sel.ratio, processed=processed,
+            train_loss=train_loss, test_acc=test_acc,
+            wall_s=time.perf_counter() - t0, gamma=sel.assignment.gamma,
+            solver_iters=sel.assignment.iterations))
         logger.info("epoch %d: r=%.3f processed=%d loss=%.4f acc=%.4f",
-                    k, rk, selected.size, metrics[-1].train_loss, test_acc)
+                    k, sel.ratio, processed, train_loss, test_acc)
     return metrics

@@ -1,17 +1,29 @@
 """Engine names that the benchmark in perfbench/ reads.
 
 perfbench/child.py sums `per_example_grads` over the BackwardTrace that
-`snn.backward_bptt` returns, in every traced run, and perfbench/run.py calls
-`oracle.measure_correlations(net, data, labels, ncfg)` on the trained
-weights.  Deleting or renaming either breaks the benchmark, not the rest of
-tier-1; these tests fail first.  Change them with the benchmark change that
+`snn.backward_bptt` returns, in every traced run; it splits set-up from the
+main call by patching `cli.run_training` (train) and `oracle.exact_grad_norms`
+(analyze), and counts uniform fallbacks as `sadp.*` log records that contain
+"falling back to uniform".  perfbench/run.py calls
+`oracle.measure_correlations(net, data, labels, ncfg)`,
+`cli.neuron_config(cfg, time_steps)` and `training.evaluate(net, handle,
+ncfg)`.  Deleting or renaming any of these breaks the benchmark, not the rest
+of tier-1; these tests fail first.  Change them with the benchmark change that
 stops reading the name.
 """
 
-import numpy as np
+import logging
 
-from sadp import oracle
+import numpy as np
+import pytest
+
+from sadp import cli, oracle, training
+from sadp.config import parse_config
+from sadp.data import DatasetHandle
+from sadp.pruning import smooth_probabilities, solve_probabilities
 from sadp.snn import NeuronConfig, Network, backward_bptt, forward
+
+FALLBACK_TEXT = "falling back to uniform"
 
 
 def small_batch():
@@ -32,3 +44,44 @@ def test_measure_correlations_takes_net_data_labels_config():
     net, data, labels, cfg = small_batch()
     corr = oracle.measure_correlations(net, data, labels, cfg)
     assert -1.0 <= corr.score_vs_norm <= 1.0
+
+
+def test_neuron_config_and_evaluate_take_positional_arguments():
+    net, data, labels, _ = small_batch()
+    ncfg = cli.neuron_config(parse_config(None, []), 3)
+    assert isinstance(ncfg, NeuronConfig) and ncfg.time_steps == 3
+    acc = training.evaluate(net, DatasetHandle(data, labels, time_steps=3), ncfg)
+    assert 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("command, owner, name", [
+    ("train", cli, "run_training"), ("analyze", oracle, "exact_grad_norms")])
+def test_commands_reach_the_engine_through_the_patched_name(
+        tmp_path, monkeypatch, capsys, command, owner, name):
+    out = ["-o", "dataset.synthetic.n=40", "-o", "train.epochs=1",
+           "-o", "neuron.threshold=0.5",
+           "-o", f"out.metrics={tmp_path}/m.csv",
+           "-o", f"out.weights={tmp_path}/w.npz",
+           "-o", f"out.report={tmp_path}/r.txt"]
+    if command == "analyze":
+        assert cli.main(["train"] + out) == cli.EXIT_OK
+    entry, calls = getattr(owner, name), []
+
+    def marked(*args, **kwargs):
+        calls.append(1)
+        return entry(*args, **kwargs)
+    monkeypatch.setattr(owner, name, marked)
+    assert cli.main([command] + out) == cli.EXIT_OK
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("fallback", ["all-zero scores", "infeasible floor"])
+def test_uniform_fallbacks_log_the_counted_text(caplog, fallback):
+    with caplog.at_level(logging.WARNING, logger="sadp"):
+        if fallback == "all-zero scores":
+            solve_probabilities(np.zeros(4), 2)
+        else:
+            smooth_probabilities(np.array([1e-6, 1.0, 1.0, 1.0]), 2, 0.6)
+    counted = [r for r in caplog.records if r.name.startswith("sadp.")
+               and FALLBACK_TEXT in r.getMessage()]
+    assert len(counted) == 1

@@ -130,7 +130,10 @@ class TestConfig:
         ("train", "prune.enabled=false prune.ratio=1.0"),
         ("train", "dataset.synthetic.classes=1"),
         ("train", "dataset.synthetic.dim=0"), ("train", "score.layers=1,1"),
+        ("train", "dataset.synthetic.noise=-1"),
+        ("train", "dataset.synthetic.noise=3"),
         ("gen-data", "dataset.path=x.spkt dataset.synthetic.n=3"),
+        ("gen-data", "dataset.path=x.spkt dataset.synthetic.noise=1.5"),
         ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                monkeypatch, command, override):
@@ -458,6 +461,25 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: cannot correlate constant scores or gradient norms "
             "(does the net spike?)"]
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_single_training_example_is_usage_error(self, tmp_path, capsys):
+        """Two examples leave one after the 80/20 split, and one example
+        has no correlation: one error line and exit 2, not a traceback."""
+        spkt = tmp_path / "two.spkt"
+        write_spike_file(DatasetHandle(np.ones((2, 4, 16)),
+                                       np.zeros(2, dtype=int), time_steps=4),
+                         str(spkt))
+        save_weights(Network.from_arch("dense:12,dense:4", (16,)),
+                     "dense:12,dense:4", (16,), str(tmp_path / "w.npz"))
+        args = ["analyze", "-o", f"dataset.path={spkt}", "-o", "prune.ratio=0",
+                "-o", f"out.metrics={tmp_path}/m.csv",
+                "-o", f"out.weights={tmp_path}/w.npz",
+                "-o", f"out.report={tmp_path}/r.txt"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: analyze needs at least 2 training examples to correlate, "
+            "got 1"]
         assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0"])

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sadp.pruning import (ConfigError, PruneConfig,
-                          loss_weights, sample_mask, schedule_ratio,
-                          smooth_probabilities, solve_probabilities,
-                          spike_aware_score, loss_score)
+from sadp import pruning
+from sadp.pruning import (NO_PRUNING, SCORES, ConfigError, PruneConfig,
+                          loss_weights, method_probabilities, sample_mask,
+                          schedule_ratio, select, smooth_probabilities,
+                          solve_probabilities, spike_aware_score, loss_score,
+                          target_size)
 from sadp.snn import (BackwardTrace, LayerSpec, LossOutput, NeuronConfig,
                       Network, forward, patch_count)
 from sadp.oracle import (per_example_gradients, solve_probabilities_sorted,
@@ -105,7 +109,6 @@ class TestSolver:
         a = solve_probabilities(np.array([1.0, 2.0, 3.0, 10.0]), 2)
         np.testing.assert_allclose(a.probabilities, [1 / 6, 1 / 3, 1 / 2, 1.0],
                                    atol=1e-12)
-        assert a.alpha == pytest.approx(6.0)
         assert a.clipped_count == 1
 
     def test_equal_scores_uniform(self):
@@ -217,6 +220,11 @@ class TestPruneConfig:
         with pytest.raises(ValueError, match="spike_awre"):
             PruneConfig(ratio=0.5, max_ratio=0.7, score="spike_awre")
 
+    def test_shared_plain_config_cannot_change(self):
+        """Every plain run reads the one NO_PRUNING instance."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NO_PRUNING.ratio = 0.5
+
 
 class TestSchedule:
     def cfg(self, r=0.5, rmax=0.7, exact=False):
@@ -282,17 +290,95 @@ class TestLossWeights:
     def test_full_data_weight_one(self):
         from sadp.pruning import ProbabilityAssignment
         a = ProbabilityAssignment(probabilities=np.ones(4))
-        w = loss_weights(a, np.ones(4), 4, 4)
+        w = loss_weights(a, np.arange(4), 4)
         np.testing.assert_array_equal(w, 1.0)
 
     def test_half_probability_half_target(self):
         from sadp.pruning import ProbabilityAssignment
         a = ProbabilityAssignment(probabilities=np.full(4, 0.5))
-        w = loss_weights(a, np.array([1, 0, 1, 0]), 4, 2)
+        w = loss_weights(a, np.array([0, 2]), 2)
         np.testing.assert_allclose(w, 1.0)
 
     def test_zero_probability_selected_rejected(self):
         from sadp.pruning import ProbabilityAssignment
         a = ProbabilityAssignment(probabilities=np.array([0.0, 1.0]))
         with pytest.raises(RuntimeError):
-            loss_weights(a, np.array([1, 1]), 2, 1)
+            loss_weights(a, np.array([0, 1]), 1)
+
+
+def forbid_solve_and_draw(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved or drew where S/N fixes the selection")
+    for name in ("smooth_probabilities", "solve_probabilities", "sample_mask"):
+        monkeypatch.setattr(pruning, name, forbidden)
+
+
+class TestMethodProbabilities:
+    G = np.array([0.5, 3.0, 1.0, 0.0, 7.0, 2.0, 0.2, 4.0, 1.5, 0.9])
+
+    def test_target_size_rounds_kept_share(self):
+        assert target_size(0.7, 2000) == 600
+        assert target_size(0.0, 7) == 7
+        assert target_size(np.nextafter(1.0, 0.0), 10) == 0
+
+    @pytest.mark.parametrize("target", [0, 3, 10])
+    def test_uniform_is_s_over_n_without_a_solve(self, monkeypatch, target):
+        forbid_solve_and_draw(monkeypatch)
+        a = method_probabilities("uniform", self.G, target, 0.3)
+        np.testing.assert_array_equal(a.probabilities, np.full(10, target / 10))
+        assert a.gamma == 0.0 and a.iterations == 0
+
+    @pytest.mark.parametrize("score", SCORES)
+    def test_every_kind_gives_ones_at_full_target(self, monkeypatch, score):
+        forbid_solve_and_draw(monkeypatch)
+        a = method_probabilities(score, self.G, 10, 0.3)
+        np.testing.assert_array_equal(a.probabilities, np.ones(10))
+
+    @pytest.mark.parametrize("score", ["spike_aware", "loss"])
+    def test_scored_kinds_solve_with_the_floor(self, score):
+        a = method_probabilities(score, self.G, 4, 0.3)
+        np.testing.assert_array_equal(
+            a.probabilities, smooth_probabilities(self.G, 4, 0.3).probabilities)
+
+
+class TestSelect:
+    G = np.random.default_rng(0).random(40) * 5.0
+
+    @pytest.mark.parametrize("cfg", [NO_PRUNING] + [
+        PruneConfig(ratio=0.0, max_ratio=0.0, smoothing_constant=0.3, score=s)
+        for s in SCORES])
+    def test_full_target_selects_all_without_solve_or_draw(self, monkeypatch,
+                                                           cfg):
+        forbid_solve_and_draw(monkeypatch)
+        n = self.G.size
+        sel = select(2, 3, self.G, cfg, 1, 2)
+        assert sel.ratio == 0.0
+        np.testing.assert_array_equal(sel.assignment.probabilities, 1.0)
+        np.testing.assert_array_equal(
+            sel.indices, np.random.default_rng([2, 2]).permutation(n))
+        np.testing.assert_array_equal(sel.weights, 1.0)
+
+    @pytest.mark.parametrize("score", SCORES)
+    def test_empty_target_selects_none_without_solve_or_draw(self, monkeypatch,
+                                                             score):
+        forbid_solve_and_draw(monkeypatch)
+        # The last epoch's ratio clamps just below 1, so S rounds to 0.
+        cfg = PruneConfig(ratio=0.9, max_ratio=1.0, score=score)
+        sel = select(3, 3, self.G, cfg, 1, 2)
+        assert target_size(sel.ratio, self.G.size) == 0
+        np.testing.assert_array_equal(sel.assignment.probabilities, 0.0)
+        assert sel.indices.size == 0 and sel.weights.size == 0
+
+    def test_each_index_keeps_its_weight_after_the_shuffle(self):
+        cfg = PruneConfig(ratio=0.5, max_ratio=0.5, smoothing_constant=0.05,
+                          seed=4)
+        n = self.G.size
+        sel = select(2, 3, self.G, cfg, 1, 2)
+        target = target_size(sel.ratio, n)
+        p = smooth_probabilities(self.G, target, 0.05).probabilities
+        np.testing.assert_array_equal(sel.assignment.probabilities, p)
+        drawn = np.flatnonzero(sample_mask(sel.assignment, [4, 1, 2]))
+        np.testing.assert_array_equal(np.sort(sel.indices), drawn)
+        assert not np.array_equal(sel.indices, drawn)  # shuffled
+        assert np.unique(sel.weights).size > 1
+        np.testing.assert_array_equal(sel.weights, target / (n * p[sel.indices]))

@@ -127,6 +127,25 @@ class TestForward:
             forward(net, np.zeros((2, 5, 3)), np.zeros(2, dtype=int),
                     make_cfg(time_steps=2))
 
+    def test_size_rule_for_data_and_layers(self):
+        """Data and a preceding layer fit a layer when their sizes match, in
+        any shape; forward and Network apply that one rule."""
+        cfg = make_cfg(time_steps=2)
+        net = Network.from_arch("dense:4", (16,), seed=0)
+        x = np.ones((3, 2, 4, 4))
+        _, flat = forward(net, x.reshape(3, 2, 16), np.zeros(3, dtype=int), cfg)
+        _, square = forward(net, x, np.zeros(3, dtype=int), cfg)
+        np.testing.assert_array_equal(square.logits, flat.logits)
+        with pytest.raises(ShapeError, match=r"input shape \(15,\) does not "
+                                             r"match layer 0 input \(16,\)"):
+            forward(net, np.ones((3, 2, 15)), np.zeros(3, dtype=int), cfg)
+        conv = LayerSpec("conv2d", (1, 4, 4), (2, 2, 2), kernel_size=3)
+        Network([(conv, np.zeros((2, 1, 3, 3))),
+                 (LayerSpec("dense", (8,), (3,)), np.zeros((3, 8)))])
+        with pytest.raises(ShapeError, match="does not compose"):
+            Network([(conv, np.zeros((2, 1, 3, 3))),
+                     (LayerSpec("dense", (9,), (3,)), np.zeros((3, 9)))])
+
     def test_rejects_nonfinite_weights(self):
         spec = LayerSpec("dense", (3,), (2,))
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from sadp import pruning
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
-from sadp.snn import NeuronConfig, Network, backward_bptt, forward
+from sadp.snn import BackwardTrace, NeuronConfig, Network, backward_bptt, forward
 from sadp.training import (EVAL_BATCH, NumericDivergenceError, OptimizerState,
                            TrainState, cosine_lr, evaluate, run_training,
                            sgd_step)
@@ -131,14 +131,58 @@ class TestRunTraining:
         without solving for probabilities or drawing a mask."""
         def forbidden(*args, **kwargs):
             raise AssertionError("solver or draw called at target N")
-        monkeypatch.setattr("sadp.training.smooth_probabilities", forbidden)
-        monkeypatch.setattr("sadp.training.sample_mask", forbidden)
+        monkeypatch.setattr("sadp.pruning.smooth_probabilities", forbidden)
+        monkeypatch.setattr("sadp.pruning.sample_mask", forbidden)
         net, train, test, ncfg = small_problem()
         opt = OptimizerState(base_lr=0.05, momentum=0.9)
         pcfg = PruneConfig(ratio=0.0, max_ratio=0.0, smoothing_constant=0.3)
         rows = run_training(net, train, test, ncfg, pcfg, opt,
                             TrainState(epochs=2, batch_size=32))
         assert [r.processed for r in rows] == [train.n, train.n]
+
+    def test_trains_exactly_the_selection(self, monkeypatch):
+        """run_training trains the examples select returns, in its order and
+        with its loss weights, and reports its ratio and solver figures."""
+        net, train, test, ncfg = small_problem()
+        order = np.array([5, 2, 9])
+        chosen = pruning.Selection(
+            ratio=0.25, assignment=pruning.ProbabilityAssignment(
+                probabilities=np.full(train.n, 0.5), gamma=0.125, iterations=3),
+            indices=order, weights=np.array([0.5, 2.0, 1.5]))
+        calls, batches, weights = [], [], []
+
+        def stub(k, epochs, scores, cfg, sample_seed, shuffle_seed):
+            calls.append((k, epochs, cfg, sample_seed, shuffle_seed))
+            return chosen
+
+        def recording_forward(net, data, labels, cfg, *args, **kwargs):
+            batches.append((data.copy(), labels.copy()))
+            return forward(net, data, labels, cfg, *args, **kwargs)
+
+        weight_grads = BackwardTrace.weight_grads
+
+        def recording_grads(self, example_weights=None):
+            weights.append(example_weights.copy())
+            return weight_grads(self, example_weights=example_weights)
+        monkeypatch.setattr("sadp.training.select", stub)
+        monkeypatch.setattr("sadp.training.forward", recording_forward)
+        monkeypatch.setattr(BackwardTrace, "weight_grads", recording_grads)
+        pcfg = PruneConfig(ratio=0.3, max_ratio=0.5)
+        rows = run_training(net, train, test, ncfg, pcfg,
+                            OptimizerState(base_lr=0.05),
+                            TrainState(epochs=2, batch_size=2, seed_sample=7,
+                                       seed_shuffle=8))
+        assert calls == [(1, 2, pcfg, 7, 8), (2, 2, pcfg, 7, 8)]
+        for part in (order[:2], order[2:]) * 2:
+            data, labels = batches.pop(0)
+            np.testing.assert_array_equal(data, train.data[part])
+            np.testing.assert_array_equal(labels, train.labels[part])
+        assert batches == []
+        for part in ([0.5, 2.0], [1.5]) * 2:
+            np.testing.assert_array_equal(weights.pop(0), part)
+        assert weights == []
+        assert [(r.ratio, r.processed, r.gamma, r.solver_iters)
+                for r in rows] == [(0.25, 3, 0.125, 3)] * 2
 
     def test_empty_target_epoch_is_skipped(self):
         """An epoch whose target rounds to 0 trains nothing and writes a row
