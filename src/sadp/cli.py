@@ -9,7 +9,6 @@ import io
 import logging
 import os
 import sys
-import tempfile
 import zipfile
 
 import numpy as np
@@ -146,11 +145,8 @@ def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
 
 
 def build_network(cfg: dict, train: DatasetHandle) -> Network:
-    arch = cfg["net.arch"]
-    shape = train.input_shape
-    if arch.lstrip().startswith("conv") and len(shape) == 2:
-        shape = (1,) + shape  # implicit single channel for image-like input
-    return Network.from_arch(arch, shape, seed=cfg["seed.init"])
+    return Network.from_arch(cfg["net.arch"], train.input_shape,
+                             seed=cfg["seed.init"])
 
 
 def _check_data_fits(net: Network, *handles: DatasetHandle) -> None:

@@ -72,12 +72,11 @@ class CorrelationReport:
 def _conv_example_grads(spec: LayerSpec, delta: Array, prev: Array) -> Array:
     """Every example's kernel gradient of one conv layer, (batch, *weight_shape)."""
     batch, t_steps = delta.shape[:2]
-    oc = spec.output_shape[0]
     grad = np.zeros((batch,) + spec.weight_shape)
     for t in range(t_steps):
         cols = im2col(prev[:, t].reshape((batch,) + spec.input_shape),
                       spec.kernel_size, spec.stride, spec.padding)
-        dflat = delta[:, t].reshape(batch, oc, -1)
+        dflat = delta[:, t].reshape(batch, spec.units, -1)
         grad += np.einsum("bop,bcp->boc", dflat, cols).reshape(
             (batch,) + spec.weight_shape)
     return grad

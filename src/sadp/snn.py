@@ -33,48 +33,51 @@ class NeuronConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.threshold <= 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.surrogate_width <= 0.0:
-            raise ValueError(f"surrogate_width must be positive, got {self.surrogate_width}")
+        for name in ("threshold", "surrogate_width"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{getattr(self, name)}")
         if self.time_steps < 1:
             raise ValueError(f"time_steps must be >= 1, got {self.time_steps}")
 
 
 @dataclass
 class LayerSpec:
-    """Static description of one trainable layer."""
+    """One trainable layer; derives its output shape and checks every
+    single-layer rule.  A conv layer's units are its output channels."""
 
     kind: str  # "dense" or "conv2d"
     input_shape: tuple[int, ...]
-    output_shape: tuple[int, ...]
+    units: int
     kernel_size: int = 0
     stride: int = 1
     padding: int = 0
+    output_shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         self.input_shape = tuple(self.input_shape)
-        self.output_shape = tuple(self.output_shape)
         if self.kind not in ("dense", "conv2d"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        if self.units < 1:
+            raise ValueError("needs at least one unit or channel")
+        self.output_shape = (self.units,)
         if self.kind == "conv2d":
-            if len(self.input_shape) != 3 or len(self.output_shape) != 3:
-                raise ShapeError("conv2d layers need (C, H, W) input and output shapes")
+            if len(self.input_shape) != 3:
+                raise ShapeError(f"conv layer needs a (C, H, W) input, got "
+                                 f"{self.input_shape}")
             if self.kernel_size < 1 or self.stride < 1 or self.padding < 0:
                 raise ValueError("invalid conv geometry")
-            expect = conv_output_hw(self.input_shape[1:], self.kernel_size,
-                                    self.stride, self.padding)
-            if expect != self.output_shape[1:]:
-                raise ShapeError(
-                    f"conv output shape {self.output_shape[1:]} inconsistent with "
-                    f"geometry (expected {expect})")
+            self.output_shape += conv_output_hw(self.input_shape[1:], self.kernel_size,
+                                                self.stride, self.padding)
+        if self.fan_in < 1:
+            raise ValueError(f"has no input: input shape {self.input_shape}")
 
     @property
     def weight_shape(self) -> tuple[int, ...]:
         if self.kind == "dense":
-            return (int(np.prod(self.output_shape)), int(np.prod(self.input_shape)))
+            return (self.units, int(np.prod(self.input_shape)))
         k = self.kernel_size
-        return (self.output_shape[0], self.input_shape[0], k, k)
+        return (self.units, self.input_shape[0], k, k)
 
     @property
     def fan_in(self) -> int:
@@ -106,7 +109,8 @@ def fits(shape: tuple[int, ...], input_shape: tuple[int, ...]) -> bool:
 
 
 class Network:
-    """Ordered stack of (LayerSpec, weight) pairs; adjacent shapes must compose."""
+    """Ordered stack of (LayerSpec, weight) pairs; adjacent shapes must compose.
+    The constructor is the one check on weight arrays, set_weights' included."""
 
     def __init__(self, layers: list[tuple[LayerSpec, Array]]):
         if not layers:
@@ -117,12 +121,12 @@ class Network:
                 raise ShapeError(
                     f"layer {i} input {cur.input_shape} does not compose with "
                     f"layer {i - 1} output {prev.output_shape}")
-        for spec, w in layers:
-            if tuple(w.shape) != spec.weight_shape:
+        self.layers = [(spec, np.asarray(w, dtype=np.float64)) for spec, w in layers]
+        for spec, w in self.layers:
+            if w.shape != spec.weight_shape:
                 raise ShapeError(f"weight shape {w.shape} != expected {spec.weight_shape}")
             if not np.all(np.isfinite(w)):
                 raise ValueError("non-finite weights")
-        self.layers = [(spec, np.asarray(w, dtype=np.float64)) for spec, w in layers]
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -136,11 +140,7 @@ class Network:
         return [w for _, w in self.layers]
 
     def set_weights(self, weights: list[Array]) -> None:
-        for (spec, old), new in zip(self.layers, weights):
-            if new.shape != old.shape:
-                raise ShapeError("weight shape mismatch in set_weights")
-        self.layers = [(spec, np.asarray(w, dtype=np.float64))
-                       for (spec, _), w in zip(self.layers, weights)]
+        self.layers = Network(list(zip(self.specs, weights, strict=True))).layers
 
     def copy(self) -> "Network":
         return Network([(spec, w.copy()) for spec, w in self.layers])
@@ -150,43 +150,43 @@ class Network:
                   init_scale: float = 1.0) -> "Network":
         """Build a network from an arch string like "dense:64,dense:10" or
         "conv:8x3x3,dense:10".  Conv entries accept optional sN / pM suffixes
-        for stride and padding, e.g. "conv:8x3x3s2p1"."""
+        for stride and padding, e.g. "conv:8x3x3s2p1".  A conv layer reads an
+        (H, W) input as one channel.  Errors name the offending token."""
         rng = np.random.default_rng(seed)
         shape = tuple(input_shape)
         layers: list[tuple[LayerSpec, Array]] = []
         for token in arch.split(","):
             token = token.strip()
-            if token.startswith("dense:"):
-                out = int(token.split(":", 1)[1])
-                spec = LayerSpec("dense", shape, (out,))
-            elif token.startswith("conv:"):
-                body = token.split(":", 1)[1]
-                stride, padding = 1, 0
-                if "p" in body:
-                    body, p = body.rsplit("p", 1)
-                    padding = int(p)
-                if "s" in body:
-                    body, s = body.rsplit("s", 1)
-                    stride = int(s)
-                oc, kh, kw = (int(v) for v in body.split("x"))
-                if kh != kw:
-                    raise ValueError("only square kernels are supported")
-                if len(shape) != 3:
-                    raise ShapeError(f"conv layer needs a (C, H, W) input, got {shape}")
-                hw = conv_output_hw(shape[1:], kh, stride, padding)
-                spec = LayerSpec("conv2d", shape, (oc,) + hw,
-                                 kernel_size=kh, stride=stride, padding=padding)
-            else:
-                raise ValueError(f"cannot parse layer token {token!r}")
-            if spec.output_shape[0] < 1:
-                raise ValueError(f"layer {token!r} needs at least one unit or channel")
-            if spec.fan_in < 1:
-                raise ValueError(f"layer {token!r} has no input: input shape {shape}")
+            try:
+                spec = _parse_layer(token, shape)
+            except ValueError as exc:
+                raise type(exc)(f"layer {token!r}: {exc}") from exc
             bound = init_scale * math.sqrt(3.0 / spec.fan_in)
-            w = rng.uniform(-bound, bound, size=spec.weight_shape)
-            layers.append((spec, w))
+            layers.append((spec, rng.uniform(-bound, bound, size=spec.weight_shape)))
             shape = spec.output_shape
         return cls(layers)
+
+
+def _parse_layer(token: str, shape: tuple[int, ...]) -> LayerSpec:
+    """The LayerSpec of one arch token that reads `shape`."""
+    kind, _, body = token.partition(":")
+    if kind == "dense":
+        return LayerSpec("dense", shape, int(body))
+    if kind != "conv":
+        raise ValueError("unknown layer kind")
+    stride, padding = 1, 0
+    if "p" in body:
+        body, p = body.rsplit("p", 1)
+        padding = int(p)
+    if "s" in body:
+        body, s = body.rsplit("s", 1)
+        stride = int(s)
+    oc, kh, kw = (int(v) for v in body.split("x"))
+    if kh != kw:
+        raise ValueError("only square kernels are supported")
+    shape = (1,) + shape if len(shape) == 2 else shape
+    return LayerSpec("conv2d", shape, oc, kernel_size=kh, stride=stride,
+                     padding=padding)
 
 
 @dataclass

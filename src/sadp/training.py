@@ -33,12 +33,12 @@ class OptimizerState:
     momentum_buffers: list[Array] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.base_lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight decay must be non-negative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight decay must be non-negative and finite")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr schedule {self.schedule!r}")
         self.learning_rate = self.base_lr

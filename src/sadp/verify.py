@@ -294,17 +294,20 @@ def check_score_bound(seed: int = 0) -> tuple[bool, str]:
     one = oracle.exact_grad_norms(one_net, d1, l1, one_cfg, (0,))
     eq_err = float(np.abs(one.scores - one.restricted_norms).max())
 
+    # Conv nets, all layers; the patch factor reads LayerSpec's derived geometry.
     conv_cfg = NeuronConfig(decay=0.5, time_steps=3)
-    conv_net = Network.from_arch("conv:4x3x3,dense:4", (1, 8, 8), seed=2,
-                                 init_scale=2.0)
-    cdata = (rng.random((64, 3, 1, 8, 8)) < 0.5).astype(float)
-    crep = oracle.exact_grad_norms(conv_net, cdata, rng.integers(0, 4, 64),
-                                   conv_cfg, (0, 1))
-    conv_ok = bool(np.all(crep.scores >= crep.restricted_norms - 1e-9))
-    return (dense_ok and eq_err <= 1e-9 and conv_ok,
+    held = []
+    for arch, shape in (("conv:4x3x3,dense:4", (1, 8, 8)),
+                        ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8))):
+        conv_net = Network.from_arch(arch, shape, seed=2, init_scale=2.0)
+        cdata = (rng.random((64, 3) + shape) < 0.5).astype(float)
+        crep = oracle.exact_grad_norms(conv_net, cdata, rng.integers(0, 4, 64),
+                                       conv_cfg, tuple(range(len(conv_net))))
+        held.append(int(np.sum(crep.scores >= crep.restricted_norms - 1e-9)))
+    return (dense_ok and eq_err <= 1e-9 and held == [64, 64],
             f"dense bound {'holds' if dense_ok else 'violated'} on 256, "
-            f"single-layer equality err {eq_err:.1e}, conv bound with patch "
-            f"factor {'holds' if conv_ok else 'violated'} on 64")
+            f"single-layer equality err {eq_err:.1e}, conv bound with patch factor "
+            f"holds on {held[0]}/64 (stride 1), {held[1]}/64 (stride 2, padding 1)")
 
 
 def check_correlation_ordering(seed: int = 0) -> tuple[bool, str]:

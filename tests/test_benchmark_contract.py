@@ -6,10 +6,13 @@ main call by patching `cli.run_training` (train) and `oracle.exact_grad_norms`
 (analyze), and counts uniform fallbacks as `sadp.*` log records that contain
 "falling back to uniform".  perfbench/run.py calls
 `oracle.measure_correlations(net, data, labels, ncfg)`,
-`cli.neuron_config(cfg, time_steps)` and `training.evaluate(net, handle,
-ncfg)`.  Deleting or renaming any of these breaks the benchmark, not the rest
-of tier-1; these tests fail first.  Change them with the benchmark change that
-stops reading the name.
+`cli.neuron_config(cfg, time_steps)`, `training.evaluate(net, handle,
+ncfg)`, `snn.Network.from_arch(arch, shape, seed=)` and
+`cli.save_weights(net, arch, input_shape, path)` (make_inputs), and
+`cli.load_weights(path)` (check_training, score_norm_pearson).  Deleting or
+renaming any of these breaks the benchmark, not the rest of tier-1; these
+tests fail first.  Change them with the benchmark change that stops reading
+the name.
 """
 
 import logging
@@ -85,3 +88,18 @@ def test_uniform_fallbacks_log_the_counted_text(caplog, fallback):
     counted = [r for r in caplog.records if r.name.startswith("sadp.")
                and FALLBACK_TEXT in r.getMessage()]
     assert len(counted) == 1
+
+
+@pytest.mark.parametrize("arch, shape", [
+    ("dense:8,dense:3", (6,)), ("conv:4x3x3p1,conv:4x3x3,dense:3", (8, 8))])
+def test_weights_round_trip_through_save_and_load(tmp_path, arch, shape):
+    """Initial weights saved as the analyze workload saves them, and a conv
+    net on 8x8 images saved as `sadp train` saves it (with layer 0's input
+    shape), come back from the file unchanged."""
+    net = Network.from_arch(arch, shape, seed=5)
+    path = str(tmp_path / "w.npz")
+    cli.save_weights(net, arch, net.specs[0].input_shape, path)
+    loaded = cli.load_weights(path)
+    assert loaded.specs == net.specs
+    for a, b in zip(loaded.weights, net.weights, strict=True):
+        np.testing.assert_array_equal(a, b)

@@ -134,7 +134,13 @@ class TestConfig:
         ("train", "dataset.synthetic.noise=3"),
         ("gen-data", "dataset.path=x.spkt dataset.synthetic.n=3"),
         ("gen-data", "dataset.path=x.spkt dataset.synthetic.noise=1.5"),
-        ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995")])
+        ("analyze", "prune.ratio=1.0"), ("analyze", "prune.ratio=0.995"),
+        ("train", "neuron.threshold=nan"), ("train", "neuron.threshold=inf"),
+        ("train", "neuron.surrogate_width=nan"),
+        ("train", "neuron.surrogate_width=inf"), ("train", "train.lr=nan"),
+        ("train", "train.lr=inf"), ("train", "train.weight_decay=nan"),
+        ("analyze", "neuron.threshold=nan"),
+        ("analyze", "neuron.surrogate_width=inf")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                monkeypatch, command, override):
         """An out-of-range config value exits 2 with one error line, also
@@ -482,17 +488,23 @@ class TestAnalyzeCommand:
             "got 1"]
         assert not (tmp_path / "r.txt").exists()
 
-    @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0"])
+    @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0", "nan"])
     def test_malformed_weights_file_is_usage_error(self, tmp_path, capsys,
                                                     case):
+        """Weights read from a file pass the checks of every Network's
+        weights, so a NaN weight, too, ends in one error line."""
         path = tmp_path / "w.npz"
         if case == "junk":
             path.write_bytes(b"\x93junk!!!")
         elif case == "bad-zip":
             path.write_bytes(b"PK\x03\x04garbage")
-        else:
+        elif case == "no-w0":
             np.savez(path, arch=np.array("dense:12,dense:4"),
                      input_shape=np.array([16]))
+        else:
+            np.savez(path, arch=np.array("dense:12,dense:4"),
+                     input_shape=np.array([16]), w0=np.full((12, 16), np.nan),
+                     w1=np.zeros((4, 12)))
         assert main(["analyze"] + self.common_args(tmp_path)) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1

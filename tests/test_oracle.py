@@ -10,7 +10,7 @@ from sadp.oracle import (InfiniteVarianceError, UndefinedCorrelationError,
                          project_to_capped_simplex, solve_probabilities_sorted,
                          variance_formula)
 from sadp.pruning import solve_probabilities
-from sadp.snn import NeuronConfig, Network, forward, backward_bptt
+from sadp.snn import NeuronConfig, Network, forward
 from sadp.verify import random_score_instance
 
 

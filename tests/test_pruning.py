@@ -20,7 +20,7 @@ def dense_trace(delta, o_prev):
     """Hand-built one-layer trace; delta and o_prev are (B, T, dim) arrays."""
     delta = np.asarray(delta, dtype=float)
     o_prev = np.asarray(o_prev, dtype=float)
-    spec = LayerSpec("dense", (o_prev.shape[2],), (delta.shape[2],))
+    spec = LayerSpec("dense", (o_prev.shape[2],), delta.shape[2])
     return BackwardTrace(errors=[delta], inputs=[o_prev], specs=[spec])
 
 

@@ -19,7 +19,7 @@ def lif_run(currents, cfg, smooth=False):
     exactly `currents` (B, T, n): an identity dense layer passes them on."""
     currents = np.asarray(currents, dtype=float)
     n = currents.shape[-1]
-    o, u, _ = run_layer(LayerSpec("dense", (n,), (n,)), np.eye(n), currents,
+    o, u, _ = run_layer(LayerSpec("dense", (n,), n), np.eye(n), currents,
                         cfg, smooth)
     return o, u
 
@@ -81,7 +81,10 @@ class TestSurrogate:
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [dict(decay=0.0), dict(decay=1.5),
                                     dict(threshold=0.0), dict(surrogate_width=0.0),
-                                    dict(time_steps=0)])
+                                    dict(time_steps=0),
+                                    dict(threshold=np.nan), dict(threshold=np.inf),
+                                    dict(surrogate_width=np.nan),
+                                    dict(surrogate_width=np.inf)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             make_cfg(**kw)
@@ -89,7 +92,7 @@ class TestConfigValidation:
 
 class TestForward:
     def test_zero_weights_uniform_loss(self):
-        spec = LayerSpec("dense", (6,), (4,))
+        spec = LayerSpec("dense", (6,), 4)
         net = Network([(spec, np.zeros((4, 6)))])
         cfg = make_cfg(time_steps=3)
         x = np.ones((5, 3, 6))
@@ -101,7 +104,7 @@ class TestForward:
     def test_hand_evaluated_recurrence(self):
         # 2-in 2-out dense layer, T=2, lambda=0.5, theta=1.
         w = np.array([[1.2, 0.0], [0.3, 0.4]])
-        net = Network([(LayerSpec("dense", (2,), (2,)), w)])
+        net = Network([(LayerSpec("dense", (2,), 2), w)])
         cfg = make_cfg()
         x = np.array([[[1.0, 0.0], [1.0, 1.0]]])  # (1, T=2, 2)
         trace, loss = forward(net, x, np.array([0]), cfg)
@@ -139,17 +142,108 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"input shape \(15,\) does not "
                                              r"match layer 0 input \(16,\)"):
             forward(net, np.ones((3, 2, 15)), np.zeros(3, dtype=int), cfg)
-        conv = LayerSpec("conv2d", (1, 4, 4), (2, 2, 2), kernel_size=3)
+        conv = LayerSpec("conv2d", (1, 4, 4), 2, kernel_size=3)
         Network([(conv, np.zeros((2, 1, 3, 3))),
-                 (LayerSpec("dense", (8,), (3,)), np.zeros((3, 8)))])
+                 (LayerSpec("dense", (8,), 3), np.zeros((3, 8)))])
         with pytest.raises(ShapeError, match="does not compose"):
             Network([(conv, np.zeros((2, 1, 3, 3))),
-                     (LayerSpec("dense", (9,), (3,)), np.zeros((3, 9)))])
+                     (LayerSpec("dense", (9,), 3), np.zeros((3, 9)))])
 
     def test_rejects_nonfinite_weights(self):
-        spec = LayerSpec("dense", (3,), (2,))
+        spec = LayerSpec("dense", (3,), 2)
         with pytest.raises(ValueError):
             Network([(spec, np.full((2, 3), np.nan))])
+
+    def test_set_weights_checks_as_the_constructor_does(self):
+        net = Network.from_arch("dense:4,dense:2", (3,), seed=0)
+        before = [w.copy() for w in net.weights]
+        bad = {"nan": [np.full((4, 3), np.nan), np.zeros((2, 4))],
+               "shape": [np.zeros((4, 3)), np.zeros((4, 2))],
+               "count": [np.zeros((4, 3))]}
+        with pytest.raises(ValueError, match="non-finite weights"):
+            net.set_weights(bad["nan"])
+        with pytest.raises(ShapeError, match=r"weight shape \(4, 2\) != "
+                                             r"expected \(2, 4\)"):
+            net.set_weights(bad["shape"])
+        with pytest.raises(ValueError):
+            net.set_weights(bad["count"])
+        for w, old in zip(net.weights, before):
+            np.testing.assert_array_equal(w, old)
+        net.set_weights([np.ones((4, 3), dtype=np.float32), np.zeros((2, 4))])
+        assert net.weights[0].dtype == np.float64 and net.weights[0].sum() == 12
+
+
+# LayerSpec arguments (kind, input shape, units, kernel, stride, padding) and
+# the output shape they give.
+SPEC_CASES = {
+    "enumerated positions": (("conv2d", (1, 4, 4), 1, 2), (1, 3, 3)),
+    "one by one kernel": (("conv2d", (2, 5, 7), 3, 1), (3, 5, 7)),
+    "non-overlapping tiling": (("conv2d", (1, 4, 4), 1, 2, 2), (1, 2, 2)),
+    "stride and padding": (("conv2d", (2, 8, 8), 4, 3, 2, 1), (4, 4, 4)),
+    "dense": (("dense", (4,), 2), (2,)),
+}
+
+
+class TestLayerSpec:
+    @pytest.mark.parametrize("case", list(SPEC_CASES))
+    def test_derives_output_shape(self, case):
+        args, out = SPEC_CASES[case]
+        spec = LayerSpec(*args)
+        assert spec.output_shape == out
+        assert spec.weight_shape[0] == args[2]
+
+    RULES = {
+        "dense no units": (("dense", (4,), 0), ValueError, "needs at least one unit"),
+        "conv no channels": (("conv2d", (1, 4, 4), 0, 3), ValueError,
+                             "needs at least one unit"),
+        "dense no input": (("dense", (0,), 3), ValueError,
+                           r"has no input: input shape \(0,\)"),
+        "conv no input": (("conv2d", (0, 4, 4), 2, 3), ValueError, "has no input"),
+        "conv flat input": (("conv2d", (16,), 2, 3), ShapeError,
+                            r"needs a \(C, H, W\) input"),
+        "conv (H, W) input": (("conv2d", (4, 4), 2, 3), ShapeError,
+                              r"needs a \(C, H, W\) input"),
+        "kernel too large": (("conv2d", (1, 4, 4), 2, 5), ShapeError,
+                             "does not fit the padded input"),
+        "kernel too large padded": (("conv2d", (1, 4, 4), 2, 7, 1, 1), ShapeError,
+                                    "does not fit the padded input"),
+        "stride 0": (("conv2d", (1, 4, 4), 2, 3, 0), ValueError,
+                     "invalid conv geometry"),
+        "unknown kind": (("pool", (4,), 2), ValueError, "unknown layer kind")}
+
+    @pytest.mark.parametrize("case", list(RULES))
+    def test_single_layer_rules_raise(self, case):
+        args, error, text = self.RULES[case]
+        with pytest.raises(error, match=text):
+            LayerSpec(*args)
+
+
+class TestFromArch:
+    def test_conv_reads_two_dimensional_input_as_one_channel(self):
+        flat = Network.from_arch("conv:2x3x3p1,dense:4", (6, 6), seed=3)
+        chan = Network.from_arch("conv:2x3x3p1,dense:4", (1, 6, 6), seed=3)
+        assert flat.specs == chan.specs
+        assert flat.specs[0].input_shape == (1, 6, 6)
+        for a, b in zip(flat.weights, chan.weights):
+            np.testing.assert_array_equal(a, b)
+
+    ERRORS = {
+        "dense:0": ((4,), ValueError, "layer 'dense:0': needs at least one unit"),
+        "dense:4,dense:x": ((4,), ValueError, "layer 'dense:x': invalid literal"),
+        "dense:4, conv:2x3x3": ((16,), ShapeError,
+                                r"layer 'conv:2x3x3': conv layer needs a "
+                                r"\(C, H, W\) input, got \(4,\)"),
+        "conv:2x7x7": ((1, 4, 4), ShapeError, "layer 'conv:2x7x7': conv kernel "
+                                              "does not fit the padded input"),
+        "conv:2x3x5": ((1, 8, 8), ValueError,
+                       "layer 'conv:2x3x5': only square kernels are supported"),
+        "foo:3": ((4,), ValueError, "layer 'foo:3': unknown layer kind")}
+
+    @pytest.mark.parametrize("arch", list(ERRORS))
+    def test_errors_name_the_token(self, arch):
+        shape, error, text = self.ERRORS[arch]
+        with pytest.raises(error, match=f"^{text}"):
+            Network.from_arch(arch, shape)
 
 
 def reference_records(net, x, cfg):
@@ -244,19 +338,19 @@ class TestEngine:
 
 class TestPatchCount:
     def test_enumerated_positions(self):
-        spec = LayerSpec("conv2d", (1, 4, 4), (1, 3, 3), kernel_size=2)
+        spec = LayerSpec(*SPEC_CASES["enumerated positions"][0])
         assert patch_count(spec) == 9
 
     def test_one_by_one_kernel(self):
-        spec = LayerSpec("conv2d", (2, 5, 7), (3, 5, 7), kernel_size=1)
+        spec = LayerSpec(*SPEC_CASES["one by one kernel"][0])
         assert patch_count(spec) == 35
 
     def test_non_overlapping_tiling(self):
-        spec = LayerSpec("conv2d", (1, 4, 4), (1, 2, 2), kernel_size=2, stride=2)
+        spec = LayerSpec(*SPEC_CASES["non-overlapping tiling"][0])
         assert patch_count(spec) == 4
 
     def test_dense_counts_one_patch(self):
-        assert patch_count(LayerSpec("dense", (4,), (2,))) == 1
+        assert patch_count(LayerSpec(*SPEC_CASES["dense"][0])) == 1
 
 
 class TestBackward:

@@ -54,7 +54,10 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("kw", [dict(base_lr=0.0), dict(base_lr=0.1, momentum=1.0),
                                     dict(base_lr=0.1, weight_decay=-0.1),
-                                    dict(base_lr=0.1, schedule="step")])
+                                    dict(base_lr=0.1, schedule="step"),
+                                    dict(base_lr=math.nan), dict(base_lr=math.inf),
+                                    dict(base_lr=0.1, weight_decay=math.nan),
+                                    dict(base_lr=0.1, weight_decay=math.inf)])
     def test_bad_optimizer_config(self, kw):
         with pytest.raises(ValueError):
             OptimizerState(**kw)
