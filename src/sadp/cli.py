@@ -179,8 +179,11 @@ def save_weights(net: Network, arch: str, input_shape, path: str) -> None:
 def load_weights(path: str) -> Network:
     with _reading("weights", path), np.load(path) as z:
         arch = str(z["arch"])
-        shape = tuple(int(v) for v in z["input_shape"])
-        net = Network.from_arch(arch, shape)
+        shape = z["input_shape"]
+        if shape.ndim != 1 or shape.dtype.kind not in "iu":
+            raise ValueError(f"input_shape must be a 1-D integer array, got "
+                             f"{shape.dtype} of shape {shape.shape}")
+        net = Network.from_arch(arch, tuple(int(v) for v in shape))
         net.set_weights([z[f"w{i}"] for i in range(len(net))])
     return net
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -14,7 +14,6 @@ Array = np.ndarray
 
 SPKT_MAGIC = b"SPKT"
 SPKT_VERSION = 1
-METRICS_HEADER = "epoch,ratio,processed,train_loss,test_acc,wall_s,gamma,solver_iters"
 
 
 class FormatError(ValueError):
@@ -59,6 +58,9 @@ class MetricsRow:
         return (f"{self.epoch},{self.ratio:.10g},{self.processed},"
                 f"{self.train_loss:.10g},{self.test_acc:.10g},{self.wall_s:.6f},"
                 f"{self.gamma:.10g},{self.solver_iters}")
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -195,6 +197,8 @@ def read_spike_file(path: str) -> DatasetHandle:
         raise FormatError(f"unsupported SPKT version {version}")
     if dtype_code != 0:
         raise FormatError(f"unsupported SPKT dtype {dtype_code}")
+    if rank < 1:
+        raise FormatError("SPKT data needs rank >= 1 (N, ...), got rank 0")
     off = 8
     if len(raw) < off + 8 * rank:
         raise FormatError("truncated SPKT dimension block")

@@ -1,10 +1,12 @@
 """Independent brute-force verification of the pruning mathematics.
 
-Everything here is deliberately written without reuse of the iterative solver
-or the score bound: exact per-example gradient norms, the sorting-based
-closed-form probability solution, Monte-Carlo estimator statistics, the
-closed-form variance objective, Pearson correlation, and finite-difference
-gradient checks.
+The independent references are written without reuse of the code they
+check: per-example gradients and their exact norms, the sorting-based
+closed-form probability solution (not the iterative solver), Monte-Carlo
+estimator statistics, the closed-form variance objective, Pearson
+correlation, and finite-difference gradient checks.  The spike-aware score
+is not one of them: exact_grad_norms reports `pruning.spike_aware_score` of
+the same pass next to the norms, so the two can be compared.
 
 per_example_gradients is the brute-force reference: it forms every example's
 full weight gradient, and the batch gradient and the exact norms are checked

@@ -116,11 +116,12 @@ def _validate_scores(scores: Array, target_size: float) -> Array:
 def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignment:
     """Variance-minimizing probabilities by iterative redistribution.
 
-    Repeatedly sets p_i proportional to score over the still-unclipped set,
-    clamps any p >= 1 to exactly 1, and redistributes the freed mass until all
-    probabilities are valid.  Terminates in at most N rounds and matches the
-    sorting-based closed form.  With every score zero, every feasible p has
-    zero variance, so the uniform S/N is returned after 0 rounds.
+    Each round spreads the mass not yet clipped in proportion to score over
+    the index array of unclipped nonzero-score examples, clamps p >= 1 to
+    exactly 1 and drops those from the array.  Terminates in at most N rounds
+    and matches the sorting-based closed form.  With every score zero, every
+    feasible p has zero variance, so the uniform S/N is returned after 0
+    rounds.
     """
     scores = _validate_scores(scores, target_size)
     n = scores.size
@@ -128,28 +129,28 @@ def solve_probabilities(scores: Array, target_size: float) -> ProbabilityAssignm
         logger.warning("all scores zero; falling back to uniform probabilities")
         return ProbabilityAssignment(probabilities=np.full(n, target_size / n))
     p = np.zeros(n)
-    in_r = np.ones(n, dtype=bool)  # examples not yet clamped at 1
-    iterations = 0
-    while True:
+    live = np.flatnonzero(scores > 0)  # unclipped nonzero-score examples
+    clipped = iterations = 0
+    while live.size:
         iterations += 1
-        c = target_size - (n - int(in_r.sum()))
-        nz = in_r & (scores > 0)
-        if not np.any(nz):
-            # Only zero-score examples remain but mass is still owed (can only
-            # happen when target_size forces them in); spread it uniformly.
-            if c > CLAMP_TOL and np.any(in_r):
-                p[in_r] = c / int(in_r.sum())
-            break
-        ssum = scores[nz].sum()
-        p[in_r] = 0.0
-        p[nz] = scores[nz] * (c / ssum)
-        over = nz & (p >= 1.0 - CLAMP_TOL)
+        c = target_size - clipped
+        g = scores[live]
+        p_live = g * (c / g.sum())
+        over = p_live >= 1.0 - CLAMP_TOL
+        p_live[over] = 1.0
+        p[live] = p_live
         if not np.any(over):
             break
-        p[over] = 1.0
-        in_r &= ~over
-    return ProbabilityAssignment(probabilities=p,
-                                 clipped_count=n - int(in_r.sum()),
+        clipped += int(over.sum())
+        live = live[~over]
+    else:
+        # Only zero-score examples remain but mass is still owed (can only
+        # happen when target_size forces them in); spread it uniformly.
+        iterations += 1
+        c = target_size - clipped
+        if c > CLAMP_TOL:
+            p[scores == 0] = c / (n - clipped)
+    return ProbabilityAssignment(probabilities=p, clipped_count=clipped,
                                  iterations=iterations)
 
 
@@ -171,28 +172,25 @@ def smooth_probabilities(scores: Array, target_size: float,
     if not 0.0 <= beta < 1.0:
         raise ConfigError("beta must lie in [0, 1)")
     base = solve_probabilities(scores, target_size)
-    if beta == 0.0:
-        return base
     scores = np.asarray(scores, dtype=np.float64)
-    p = base.probabilities.copy()
-    in_r = p < 1.0
-    nz = in_r & (scores > 0)
-    if not np.any(nz) or p[nz].min() >= beta - 1e-12:
+    p = base.probabilities
+    r = np.flatnonzero(p < 1.0)  # the unclipped set R
+    nz = r[scores[r] > 0]
+    if not nz.size or p[nz].min() >= beta - 1e-12:
         return base
 
-    r_count = int(in_r.sum())
-    c = target_size - (scores.size - r_count)
-    denom = c - beta * r_count
+    p = p.copy()
+    c = target_size - (scores.size - r.size)
+    denom = c - beta * r.size
     if denom <= 0:
         logger.warning("smoothing constant %.3g infeasible for |R|=%d, c=%.3g; "
-                       "falling back to uniform probabilities", beta, r_count, c)
-        p[in_r] = 0.0
-        p[nz] = c / int(nz.sum())
+                       "falling back to uniform probabilities", beta, r.size, c)
+        p[nz] = c / nz.size  # R's zero-score examples keep p = 0
         gamma = 0.0
     else:
         gamma = (beta * scores[nz].sum() - c * scores[nz].min()) / denom
-        shifted = scores[in_r] + gamma
-        p[in_r] = shifted * (c / shifted.sum())
+        shifted = scores[r] + gamma
+        p[r] = shifted * (c / shifted.sum())
     return ProbabilityAssignment(probabilities=p, gamma=float(gamma),
                                  clipped_count=base.clipped_count,
                                  iterations=base.iterations)

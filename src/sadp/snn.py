@@ -121,6 +121,9 @@ class Network:
                 raise ShapeError(
                     f"layer {i} input {cur.input_shape} does not compose with "
                     f"layer {i - 1} output {prev.output_shape}")
+        for _, w in layers:
+            if np.iscomplexobj(w):
+                raise ValueError(f"weights must be real, got {np.asarray(w).dtype}")
         self.layers = [(spec, np.asarray(w, dtype=np.float64)) for spec, w in layers]
         for spec, w in self.layers:
             if w.shape != spec.weight_shape:

@@ -19,8 +19,8 @@ import numpy as np
 from . import oracle
 from .data import gen_synthetic_split
 from .pruning import PruneConfig, schedule_ratio, smooth_probabilities, \
-    solve_probabilities
-from .snn import NeuronConfig, Network
+    solve_probabilities, spike_aware_score
+from .snn import BackwardTrace, NeuronConfig, Network
 from .training import OptimizerState, TrainState, run_training
 
 
@@ -280,7 +280,8 @@ def check_variance_formula(seed: int = 0) -> tuple[bool, str]:
 
 
 def check_score_bound(seed: int = 0) -> tuple[bool, str]:
-    """Spike-aware scores upper-bound exact norms; tight for one layer at T=1."""
+    """Spike-aware scores upper-bound exact norms; tight for one layer at T=1,
+    and near-tight for one hand-built conv trace, which pins the patch factor."""
     rng = np.random.default_rng(103 + seed)
     cfg = NeuronConfig(decay=0.5, time_steps=4)
     net = Network.from_arch("dense:16,dense:8,dense:4", (24,), seed=9)
@@ -304,10 +305,21 @@ def check_score_bound(seed: int = 0) -> tuple[bool, str]:
         crep = oracle.exact_grad_norms(conv_net, cdata, rng.integers(0, 4, 64),
                                        conv_cfg, tuple(range(len(conv_net))))
         held.append(int(np.sum(crep.scores >= crep.restricted_norms - 1e-9)))
-    return (dense_ok and eq_err <= 1e-9 and held == [64, 64],
+
+    # Near-tight: all-ones spikes and errors through conv:1x3x3p1 on 6x6 give
+    # exact norm 86 and score 6*6*sqrt(36) = 216, so a patch factor of 1 (36)
+    # or 2 (72) fails while the tighter ceil(k/s) = 3 (108) would still hold.
+    spec = Network.from_arch("conv:1x3x3p1", (1, 6, 6)).specs[0]
+    ones = np.ones((1, 1, 1, 6, 6))
+    tight_score = float(spike_aware_score(
+        BackwardTrace(errors=[ones], inputs=[ones], specs=[spec]), (0,))[0])
+    tight_norm = float(np.linalg.norm(oracle._conv_example_grads(spec, ones, ones)))
+    tight_ok = tight_score >= tight_norm - 1e-9
+    return (dense_ok and eq_err <= 1e-9 and held == [64, 64] and tight_ok,
             f"dense bound {'holds' if dense_ok else 'violated'} on 256, "
             f"single-layer equality err {eq_err:.1e}, conv bound with patch factor "
-            f"holds on {held[0]}/64 (stride 1), {held[1]}/64 (stride 2, padding 1)")
+            f"holds on {held[0]}/64 (stride 1), {held[1]}/64 (stride 2, padding 1), "
+            f"near-tight conv score {tight_score:.6g} vs norm {tight_norm:.6g}")
 
 
 def check_correlation_ordering(seed: int = 0) -> tuple[bool, str]:

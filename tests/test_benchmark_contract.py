@@ -9,7 +9,13 @@ main call by patching `cli.run_training` (train) and `oracle.exact_grad_norms`
 `cli.neuron_config(cfg, time_steps)`, `training.evaluate(net, handle,
 ncfg)`, `snn.Network.from_arch(arch, shape, seed=)` and
 `cli.save_weights(net, arch, input_shape, path)` (make_inputs), and
-`cli.load_weights(path)` (check_training, score_norm_pearson).  Deleting or
+`cli.load_weights(path)` (check_training, score_norm_pearson).  make_inputs
+writes its dataset with `data.gen_synthetic(classes, n, t, dim, noise,
+seed=)`, `data.DatasetHandle(data, labels, time_steps=)` and
+`data.write_spike_file(handle, path)`; held_out reads it back with
+`cli.parse_config(path, overrides)`, which `cli` re-exports from `config`,
+and `cli.load_dataset(cfg)`; check_training parses metrics.csv by the
+column names of `data.METRICS_HEADER`.  Deleting or
 renaming any of these breaks the benchmark, not the rest of tier-1; these
 tests fail first.  Change them with the benchmark change that stops reading
 the name.
@@ -22,7 +28,8 @@ import pytest
 
 from sadp import cli, oracle, training
 from sadp.config import parse_config
-from sadp.data import DatasetHandle
+from sadp.data import (METRICS_HEADER, DatasetHandle, gen_synthetic,
+                       write_spike_file)
 from sadp.pruning import smooth_probabilities, solve_probabilities
 from sadp.snn import NeuronConfig, Network, backward_bptt, forward
 
@@ -103,3 +110,25 @@ def test_weights_round_trip_through_save_and_load(tmp_path, arch, shape):
     assert loaded.specs == net.specs
     for a, b in zip(loaded.weights, net.weights, strict=True):
         np.testing.assert_array_equal(a, b)
+
+
+def test_inputs_written_and_read_back_as_make_inputs_and_held_out_do(tmp_path):
+    """A spike file written as make_inputs writes it (an image workload
+    reshapes the data first) comes back through cli.parse_config and
+    cli.load_dataset with its last fifth held out."""
+    handle = gen_synthetic(4, 20, 3, 16, 0.1, seed=7)
+    handle = DatasetHandle(handle.data.reshape(20, 3, 4, 4), handle.labels,
+                           time_steps=3)
+    write_spike_file(handle, str(tmp_path / "inputs.spkt"))
+    (tmp_path / "bench.cfg").write_text("net.arch = dense:8,dense:4\n")
+    cfg = cli.parse_config(str(tmp_path / "bench.cfg"),
+                           [f"dataset.path={tmp_path / 'inputs.spkt'}"])
+    train, test = cli.load_dataset(cfg)
+    assert (train.n, test.n, test.time_steps) == (16, 4, 3)
+    np.testing.assert_array_equal(test.data, handle.data[16:])
+
+
+def test_metrics_header_names_the_columns_the_checks_read():
+    header = METRICS_HEADER.split(",")
+    assert {"epoch", "ratio", "processed", "test_acc", "wall_s",
+            "solver_iters"} <= set(header)

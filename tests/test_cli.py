@@ -214,8 +214,11 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("name, content", [("junk.spkt", b"not spkt"),
                                                ("short.spkt", b"SPKT\x01"),
-                                               ("absent.spkt", None)],
-                             ids=["junk", "truncated-header", "missing"])
+                                               ("absent.spkt", None),
+                                               ("rank0.spkt", b"SPKT\x01\x00"
+                                                b"\x00\x00\x01")],
+                             ids=["junk", "truncated-header", "missing",
+                                  "rank-0"])
     def test_bad_dataset_file_is_usage_error(self, tmp_path, capsys, name,
                                              content):
         path = tmp_path / name
@@ -488,11 +491,14 @@ class TestAnalyzeCommand:
             "got 1"]
         assert not (tmp_path / "r.txt").exists()
 
-    @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0", "nan"])
+    @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0", "nan",
+                                      "2-d-shape", "fractional-shape",
+                                      "complex"])
     def test_malformed_weights_file_is_usage_error(self, tmp_path, capsys,
                                                     case):
         """Weights read from a file pass the checks of every Network's
-        weights, so a NaN weight, too, ends in one error line."""
+        weights, so a NaN or complex weight, too, ends in one error line; an
+        input shape that is not a 1-D integer array is not cut to one."""
         path = tmp_path / "w.npz"
         if case == "junk":
             path.write_bytes(b"\x93junk!!!")
@@ -501,6 +507,17 @@ class TestAnalyzeCommand:
         elif case == "no-w0":
             np.savez(path, arch=np.array("dense:12,dense:4"),
                      input_shape=np.array([16]))
+        elif case == "2-d-shape":
+            np.savez(path, arch=np.array("dense:8,dense:4"),
+                     input_shape=np.array([[8, 1], [1, 1]]))
+        elif case == "fractional-shape":
+            np.savez(path, arch=np.array("dense:12,dense:4"),
+                     input_shape=np.array([16.7]), w0=np.zeros((12, 16)),
+                     w1=np.zeros((4, 12)))
+        elif case == "complex":
+            np.savez(path, arch=np.array("dense:12,dense:4"),
+                     input_shape=np.array([16]),
+                     w0=np.full((12, 16), 1 + 1j), w1=np.zeros((4, 12)))
         else:
             np.savez(path, arch=np.array("dense:12,dense:4"),
                      input_shape=np.array([16]), w0=np.full((12, 16), np.nan),

@@ -109,7 +109,21 @@ class TestSolver:
         a = solve_probabilities(np.array([1.0, 2.0, 3.0, 10.0]), 2)
         np.testing.assert_allclose(a.probabilities, [1 / 6, 1 / 3, 1 / 2, 1.0],
                                    atol=1e-12)
-        assert a.clipped_count == 1
+        assert (a.iterations, a.clipped_count) == (2, 1)
+
+    @pytest.mark.parametrize("scores, target, p, rounds, clipped", [
+        ([1.0, 2.0, 3.0], 1, [1 / 6, 1 / 3, 1 / 2], 1, 0),
+        ([5.0, 0.0, 0.0], 2, [1.0, 0.5, 0.5], 2, 1)],
+        ids=["no-clip", "zero-scores-take-the-rest"])
+    def test_rounds_and_clips_on_each_exit(self, scores, target, p, rounds,
+                                           clipped):
+        """solver_iters in metrics.csv is the round count: one round when
+        nothing clips, one more per clipping round (the worked example), and
+        one for the round that finds only zero-score examples left to take
+        the owed mass."""
+        a = solve_probabilities(np.array(scores), target)
+        np.testing.assert_allclose(a.probabilities, p, atol=1e-12)
+        assert (a.iterations, a.clipped_count) == (rounds, clipped)
 
     def test_equal_scores_uniform(self):
         a = solve_probabilities(np.full(10, 3.7), 4)
