@@ -1,6 +1,11 @@
 """Selection machinery: importance scores, variance-minimizing probabilities,
 smoothing, the dynamic pruning schedule, Bernoulli sampling, loss weights,
-and `select`, the one per-epoch selection step that combines them."""
+and `select`, the one per-epoch selection step that combines them.
+
+All of it computes in float64, whatever the dtype of the engine trace a
+score reads: training's float32 errors are promoted before they are squared,
+and spike counts are exact in either dtype.
+"""
 
 from __future__ import annotations
 
@@ -88,19 +93,22 @@ def spike_aware_score(btrace: BackwardTrace,
     batch, t_steps = btrace.errors[0].shape[:2]
     total = np.zeros(batch)
     for l in score_layers:
-        delta = btrace.errors[l].reshape(batch, t_steps, -1)
+        delta = np.asarray(btrace.errors[l], dtype=np.float64).reshape(
+            batch, t_steps, -1)
         o_prev = btrace.inputs[l].reshape(batch, t_steps, -1)
         dn = np.sqrt((delta ** 2).sum(axis=2))
-        # ||o||^2 as a stacked dot product, cheaper than squaring and summing:
-        # exact for 0/1 spikes, equal to that sum within round-off otherwise.
-        on = np.sqrt((o_prev[..., None, :] @ o_prev[..., None])[..., 0, 0])
+        # ||o||^2 as a stacked dot product in the trace's dtype, cheaper than
+        # squaring and summing: exact for 0/1 spikes (a float32 count is exact
+        # up to 2**24), equal to that sum within round-off otherwise.
+        on = np.sqrt((o_prev[..., None, :] @ o_prev[..., None])[..., 0, 0],
+                     dtype=np.float64)
         total += (dn * on).sum(axis=1) * np.sqrt(patch_count(btrace.specs[l]))
     return total
 
 
 def loss_score(loss) -> Array:
-    """Baseline importance score: the per-example loss itself."""
-    return np.array(loss.per_example_loss, copy=True)
+    """Baseline importance score: the per-example loss itself, in float64."""
+    return np.array(loss.per_example_loss, dtype=np.float64)
 
 
 def _validate_scores(scores: Array, target_size: float) -> Array:

@@ -2,8 +2,14 @@
 
 Implements dense and 2-D convolutional spiking layers, a forward pass that
 records every membrane potential and spike, and a manual backprop-through-time
-backward pass with a triangular surrogate gradient.  Everything is float64
-numpy; there is no autodiff framework underneath.
+backward pass with a triangular surrogate gradient, in plain numpy with no
+autodiff framework underneath.
+
+Precision rule: the engine computes in the dtype of its network's weights,
+float32 or float64 (`Network.astype` makes the other copy), and casts each
+batch's input to it; every trace array, error and gradient comes out in that
+dtype.  Training runs a float32 copy of its float64 master weights; the
+oracle, `sadp verify` and `sadp analyze` run the same code in float64.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ class NeuronConfig:
     time_steps: int = 1
 
     def __post_init__(self) -> None:
+        # Plain Python floats, so that no numpy scalar promotes a float32 engine.
+        self.decay, self.threshold, self.surrogate_width = (
+            float(self.decay), float(self.threshold), float(self.surrogate_width))
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
         for name in ("threshold", "surrogate_width"):
@@ -108,11 +117,17 @@ def fits(shape: tuple[int, ...], input_shape: tuple[int, ...]) -> bool:
     return math.prod(shape) == math.prod(input_shape)
 
 
+ENGINE_DTYPES = (np.float32, np.float64)
+
+
 class Network:
     """Ordered stack of (LayerSpec, weight) pairs; adjacent shapes must compose.
-    The constructor is the one check on weight arrays, set_weights' included."""
+    The constructor is the one check on weight arrays, set_weights' and
+    astype's included: every layer's weights are held in `dtype`, float64
+    unless asked for float32."""
 
-    def __init__(self, layers: list[tuple[LayerSpec, Array]]):
+    def __init__(self, layers: list[tuple[LayerSpec, Array]],
+                 dtype: np.typing.DTypeLike = np.float64):
         if not layers:
             raise ValueError("network needs at least one layer")
         for i in range(1, len(layers)):
@@ -121,10 +136,14 @@ class Network:
                 raise ShapeError(
                     f"layer {i} input {cur.input_shape} does not compose with "
                     f"layer {i - 1} output {prev.output_shape}")
+        dtype = np.dtype(dtype)
+        if dtype not in ENGINE_DTYPES:
+            raise ValueError(f"engine dtype must be float32 or float64, got {dtype}")
         for _, w in layers:
             if np.iscomplexobj(w):
                 raise ValueError(f"weights must be real, got {np.asarray(w).dtype}")
-        self.layers = [(spec, np.asarray(w, dtype=np.float64)) for spec, w in layers]
+        self.dtype = dtype
+        self.layers = [(spec, np.asarray(w, dtype=dtype)) for spec, w in layers]
         for spec, w in self.layers:
             if w.shape != spec.weight_shape:
                 raise ShapeError(f"weight shape {w.shape} != expected {spec.weight_shape}")
@@ -143,10 +162,15 @@ class Network:
         return [w for _, w in self.layers]
 
     def set_weights(self, weights: list[Array]) -> None:
-        self.layers = Network(list(zip(self.specs, weights, strict=True))).layers
+        self.layers = Network(list(zip(self.specs, weights, strict=True)),
+                              self.dtype).layers
 
     def copy(self) -> "Network":
-        return Network([(spec, w.copy()) for spec, w in self.layers])
+        return self.astype(self.dtype)
+
+    def astype(self, dtype: np.typing.DTypeLike) -> "Network":
+        """A copy of the network with its weights held in `dtype`."""
+        return Network([(spec, w.astype(dtype)) for spec, w in self.layers], dtype)
 
     @classmethod
     def from_arch(cls, arch: str, input_shape: tuple[int, ...], seed: int = 0,
@@ -244,15 +268,17 @@ class BackwardTrace:
         for l, (spec, delta, o) in enumerate(zip(self.specs, self.errors, self.inputs)):
             batch, t_steps = delta.shape[:2]
             if example_weights is not None:
-                delta = delta * np.reshape(example_weights,
-                                           (batch,) + (1,) * (delta.ndim - 1))
+                # In delta's dtype: float64 loss weights must not promote a
+                # float32 error tensor and its GEMM.
+                delta = delta * np.reshape(example_weights, (batch,) + (1,) * (
+                    delta.ndim - 1)).astype(delta.dtype, copy=False)
             if spec.kind == "dense":
                 g = delta.reshape(batch * t_steps, -1).T \
                     @ o.reshape(batch * t_steps, -1)
             else:
                 oc = spec.output_shape[0]
                 cols = self.columns[l].reshape(batch, t_steps, spec.fan_in, -1)
-                g = np.zeros((oc, spec.fan_in))
+                g = np.zeros((oc, spec.fan_in), dtype=delta.dtype)
                 for t in range(t_steps):
                     d = delta[:, t].reshape(batch, oc, -1)
                     g += d.transpose(1, 0, 2).reshape(oc, -1) \
@@ -273,10 +299,11 @@ class LossOutput:
 
 def surrogate_grad(u: Array | float, cfg: NeuronConfig,
                    overwrite: bool = False) -> Array:
-    """Triangular surrogate: max(0, 1 - |u - theta|/a)/a.  With overwrite=True
-    it is formed in u's own storage (u must then be a float64 array)."""
+    """Triangular surrogate: max(0, 1 - |u - theta|/a)/a, in u's float dtype
+    (float64 for a Python number).  With overwrite=True it is formed in u's
+    own storage (u must then be a float array)."""
     a = cfg.surrogate_width
-    z = u if overwrite else np.array(u, dtype=np.float64)
+    z = u if overwrite else np.array(u, dtype=np.result_type(u, 1.0))
     np.abs(np.subtract(z, cfg.threshold, out=z), out=z)
     np.maximum(0.0, np.subtract(1.0, np.divide(z, a, out=z), out=z), out=z)
     z /= a
@@ -290,7 +317,7 @@ def soft_spike(u: Array, cfg: NeuronConfig) -> Array:
     the exact gradient of the smooth forward pass.
     """
     a, th = cfg.surrogate_width, cfg.threshold
-    z = np.asarray(u, dtype=np.float64) - th
+    z = np.asarray(u) - th
     out = np.zeros_like(z)
     left = (z > -a) & (z <= 0.0)
     right = (z > 0.0) & (z < a)
@@ -317,7 +344,7 @@ def col2im(cols: Array, x_shape: tuple[int, ...], kernel: int, stride: int,
     out (H, W, B, C) so that each of the k*k strided adds moves long rows."""
     b, c, h, w = x_shape
     ho, wo = conv_output_hw((h, w), kernel, stride, padding)
-    xp = np.zeros((h + 2 * padding, w + 2 * padding, b, c))
+    xp = np.zeros((h + 2 * padding, w + 2 * padding, b, c), dtype=cols.dtype)
     cols6 = cols.reshape(b, c, kernel, kernel, ho, wo)
     for i in range(kernel):
         for j in range(kernel):
@@ -340,7 +367,7 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
     for dense).
     """
     b, t_steps = inputs.shape[:2]
-    u_rec = np.empty((b, t_steps) + spec.output_shape)
+    u_rec = np.empty((b, t_steps) + spec.output_shape, dtype=w.dtype)
     cols = None
     if spec.kind == "dense":
         np.matmul(inputs.reshape(b * t_steps, -1), w.T,
@@ -351,7 +378,7 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
         np.matmul(w.reshape(w.shape[0], -1), cols,
                   out=u_rec.reshape(b * t_steps, w.shape[0], -1))
     o_rec = np.empty_like(u_rec)
-    u = np.zeros((b,) + spec.output_shape)
+    u = np.zeros((b,) + spec.output_shape, dtype=w.dtype)
     reset = np.empty_like(u)
     for t in range(t_steps):
         u *= cfg.decay
@@ -383,11 +410,12 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     """Run the network over T time steps, recording all state.
 
     encoded_input has shape (batch, T, *input_shape); spikes or currents at
-    layer 0.  The readout is the per-class mean output spike count over T,
-    scored with softmax cross-entropy.  With smooth=True the hard threshold is
-    replaced by its soft counterpart (for gradient checking).
+    layer 0, cast to the network's dtype.  The readout is the per-class mean
+    output spike count over T, scored with softmax cross-entropy.  With
+    smooth=True the hard threshold is replaced by its soft counterpart (for
+    gradient checking).
     """
-    x = np.asarray(encoded_input, dtype=np.float64)
+    x = np.asarray(encoded_input, dtype=net.dtype)
     if x.ndim < 3 or x.shape[1] != cfg.time_steps:
         raise ShapeError(f"input must be (batch, T={cfg.time_steps}, ...), got {x.shape}")
     if not fits(x.shape[2:], net.specs[0].input_shape):
@@ -444,7 +472,9 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
             do = (dlogits / t_steps).reshape((batch, 1) + spec.output_shape)
         else:
             do = _backproject(*net.layers[l + 1], errors[l + 1]).reshape(shape)
-        carry = np.broadcast_to(cfg.decay, shape) if cfg.reset_detached \
+        # The membrane's carry from one step to the next: the scalar decay
+        # with a detached reset, else decay * (1 - theta * sg), in sg's dtype.
+        carry = None if cfg.reset_detached \
             else cfg.decay * (1.0 - cfg.threshold * sg)
         # The direct term for every step at once, in the surrogate's storage;
         # the loop adds the error carried back through the membrane from the
@@ -452,7 +482,8 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
         delta = sg
         delta *= do
         for t in range(t_steps - 2, -1, -1):
-            delta[:, t] += carry[:, t] * delta[:, t + 1]
+            delta[:, t] += (cfg.decay if carry is None else carry[:, t]) \
+                * delta[:, t + 1]
         errors[l] = delta
     return BackwardTrace(errors=errors, inputs=trace.spikes[:-1], specs=net.specs,
                          columns=trace.columns)

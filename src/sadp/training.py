@@ -1,5 +1,9 @@
 """Outer training loop: per-epoch selection (`pruning.select`), weighted SGD,
-score refresh and evaluation."""
+score refresh and evaluation.
+
+Training follows the mixed-precision recipe: the network passed in holds the
+float64 master weights, which `sgd_step` updates with float64 momentum, and
+each step runs the engine on a float32 copy of them (ENGINE_DTYPE)."""
 
 from __future__ import annotations
 
@@ -59,7 +63,8 @@ class TrainState:
 
 
 def sgd_step(weights: list[Array], grads: list[Array], opt: OptimizerState) -> list[Array]:
-    """In-place SGD with momentum and weight decay."""
+    """In-place SGD with momentum and weight decay on the (float64 master)
+    weights; float32 gradients are promoted as they are added."""
     if not opt.momentum_buffers:
         opt.momentum_buffers = [np.zeros_like(w) for w in weights]
     for w, g, buf in zip(weights, grads, opt.momentum_buffers):
@@ -68,7 +73,9 @@ def sgd_step(weights: list[Array], grads: list[Array], opt: OptimizerState) -> l
         if not np.all(np.isfinite(g)):
             raise NumericDivergenceError("non-finite gradient")
         buf *= opt.momentum
-        buf += g + opt.weight_decay * w
+        buf += g
+        if opt.weight_decay:
+            buf += opt.weight_decay * w
         w -= opt.learning_rate * buf
     return weights
 
@@ -81,17 +88,18 @@ def cosine_lr(k: int, total_epochs: int, base_lr: float) -> float:
 
 
 EVAL_BATCH = 64
+ENGINE_DTYPE = np.float32  # the dtype training runs the engine in
 
 
 def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
-    """Classification accuracy on a pre-encoded dataset.
+    """Classification accuracy on a pre-encoded dataset, in net's dtype.
 
     Runs the layers without a trace: only the spikes the next layer reads
     are kept, and the logits are forward's mean output spike counts.
     """
     correct = 0
     for start in range(0, handle.n, EVAL_BATCH):
-        o = np.asarray(handle.data[start:start + EVAL_BATCH], dtype=np.float64)
+        o = np.asarray(handle.data[start:start + EVAL_BATCH], dtype=net.dtype)
         for spec, w in net.layers:
             o = run_layer(spec, w, o, cfg)[0]
         logits = o.reshape(o.shape[0], o.shape[1], -1).mean(axis=1)
@@ -107,10 +115,11 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
 
     Each epoch: set the learning rate, select the epoch's examples and loss
     weights from the (stale) scores with `pruning.select`, and run weighted
-    mini-batch SGD over them.  Unless the score kind is uniform, scores are
-    refreshed for every trained example from the traces already produced by
-    the backward pass.  An epoch that selects nothing writes a row whose loss
-    and accuracy are NaN.
+    mini-batch SGD over them: forward, backward and the gradient run on an
+    ENGINE_DTYPE copy of net, and sgd_step updates net itself.  Unless the
+    score kind is uniform, scores are refreshed for every trained example
+    from the traces already produced by the backward pass.  An epoch that
+    selects nothing writes a row whose loss and accuracy are NaN.
     """
     pcfg = pcfg or NO_PRUNING
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
@@ -129,10 +138,11 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
         for start in range(0, sel.indices.size, b):
             idx = sel.indices[start:start + b]
             w_batch = sel.weights[start:start + b]
-            trace, lo = forward(net, train.data[idx], train.labels[idx], ncfg)
+            engine = net.astype(ENGINE_DTYPE)
+            trace, lo = forward(engine, train.data[idx], train.labels[idx], ncfg)
             if not np.all(np.isfinite(lo.per_example_loss)):
                 raise NumericDivergenceError(f"non-finite loss in epoch {k}")
-            btrace = backward_bptt(net, trace, lo, ncfg)
+            btrace = backward_bptt(engine, trace, lo, ncfg)
             grads = btrace.weight_grads(example_weights=w_batch)
             sgd_step(net.weights, grads, opt)
             if pcfg.score == "spike_aware":
@@ -144,7 +154,8 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
         processed = int(sel.indices.size)
         if processed:
             train_loss = loss_sum / processed
-            test_acc = evaluate(net, test, ncfg) if test is not None else math.nan
+            test_acc = evaluate(net.astype(ENGINE_DTYPE), test, ncfg) \
+                if test is not None else math.nan
         else:
             logger.warning("epoch %d: no examples selected (r_k=%.3f); skipped",
                            k, sel.ratio)

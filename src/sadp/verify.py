@@ -20,8 +20,8 @@ from . import oracle
 from .data import gen_synthetic_split
 from .pruning import PruneConfig, schedule_ratio, smooth_probabilities, \
     solve_probabilities, spike_aware_score
-from .snn import BackwardTrace, NeuronConfig, Network
-from .training import OptimizerState, TrainState, run_training
+from .snn import BackwardTrace, NeuronConfig, Network, backward_bptt, forward
+from .training import ENGINE_DTYPE, OptimizerState, TrainState, run_training
 
 
 def random_score_instance(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -173,16 +173,16 @@ GRADIENT_CASES = {
 }
 
 
-def _gradient_cases(rng: np.random.Generator):
-    """Yield (name, net, data, labels, cfg) for each of GRADIENT_CASES: 16
+def _gradient_cases(rng: np.random.Generator, n: int = 16):
+    """Yield (name, net, data, labels, cfg) for each of GRADIENT_CASES: n
     examples at T=3 under a wide surrogate, data drawn from rng before labels.
     """
     for name, (arch, shape, detached) in GRADIENT_CASES.items():
         cfg = NeuronConfig(decay=0.5, surrogate_width=2.0,
                            reset_detached=detached, time_steps=3)
         net = Network.from_arch(arch, shape, seed=4, init_scale=2.0)
-        data = (rng.random((16, 3) + shape) < 0.5).astype(float)
-        yield name, net, data, rng.integers(0, 4, 16), cfg
+        data = (rng.random((n, 3) + shape) < 0.5).astype(float)
+        yield name, net, data, rng.integers(0, 4, n), cfg
 
 
 def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
@@ -239,6 +239,43 @@ def check_exact_norms(seed: int = 0) -> tuple[bool, str]:
     return bool(ok and zero_ok), (
         "max rel err " + ", ".join(parts) + "; silent batch "
         + ("exactly zero" if zero_ok else "NONZERO"))
+
+
+# float32-agreement tolerances: the largest gradient error relative to each
+# layer's largest float64 entry (float32's unit round-off is 6e-8), and the
+# share of the float64 spikes the float32 engine fires differently.
+FLOAT32_GRAD_TOL = 1e-5
+FLOAT32_FLIP_TOL = 1e-4
+
+
+def check_float32_agreement(seed: int = 0) -> tuple[bool, str]:
+    """The engine in the training dtype (float32) agrees with the float64
+    oracle on one batch of 256 examples per GRADIENT_CASES entry: its weighted
+    batch gradient within FLOAT32_GRAD_TOL of the oracle's per-example
+    gradients contracted with the same weights, and at most FLOAT32_FLIP_TOL
+    of the oracle's forward spikes flipped."""
+    rng = np.random.default_rng(108 + seed)
+    n, ok, parts = 256, True, []
+    for name, net, data, labels, cfg in _gradient_cases(rng, n):
+        ref_trace, _, ref = oracle.per_example_gradients(net, data, labels, cfg)
+        w = rng.uniform(0.1, 5.0, n)
+        engine = net.astype(ENGINE_DTYPE)
+        trace, loss = forward(engine, data, labels, cfg)
+        grads = backward_bptt(engine, trace, loss, cfg).weight_grads(w)
+        worst = 0.0
+        for g, per in zip(grads, ref.per_example_grads):
+            want = np.tensordot(w, per, axes=(0, 0)) / n
+            scale = float(np.abs(want).max())
+            ok &= scale > 0.0 and g.dtype == ENGINE_DTYPE
+            worst = max(worst, float(np.abs(g - want).max()) / max(scale, 1e-300))
+        flips = sum(int((a != b).sum())
+                    for a, b in zip(trace.spikes[1:], ref_trace.spikes[1:]))
+        share = flips / sum(a.size for a in ref_trace.spikes[1:])
+        ok &= worst <= FLOAT32_GRAD_TOL and share <= FLOAT32_FLIP_TOL
+        parts.append(f"{name} {worst:.1e}, {flips} flips")
+    return bool(ok), ("max rel err " + "; ".join(parts)
+                      + f" (limits {FLOAT32_GRAD_TOL:g} and "
+                      f"{FLOAT32_FLIP_TOL:g} of spikes)")
 
 
 def _mc_run(seed: int):
@@ -370,6 +407,7 @@ CHECKS: dict[str, Callable[[int], tuple[bool, str]]] = {
     "bptt-correctness": check_bptt_correctness,
     "weighted-gradient": check_weighted_gradient,
     "exact-norms": check_exact_norms,
+    "float32-agreement": check_float32_agreement,
     "estimator-unbiased": check_estimator_unbiased,
     "variance-formula": check_variance_formula,
     "score-bound": check_score_bound,

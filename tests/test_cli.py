@@ -391,6 +391,26 @@ class TestAnalyzeCommand:
         for name in ("spike_aware", "loss", "uniform"):
             assert name in report
 
+    def test_float64_weights_and_float64_analyze(self, tmp_path, capsys):
+        """train runs a float32 engine but writes float64 weights; analyze
+        runs the float64 engine, so its report at seed 0 on the initial
+        weights is byte for byte what the all-float64 engine wrote."""
+        common = self.common_args(tmp_path)
+        assert main(["train"] + common) == EXIT_OK
+        with np.load(tmp_path / "w.npz") as z:
+            assert [z[f"w{i}"].dtype for i in range(2)] == [np.float64] * 2
+        assert main(["train", "-o", "train.epochs=0"] + common) == EXIT_OK
+        assert main(["analyze"] + common) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "r.txt").read_text() == (
+            "examples: 64\n"
+            "pearson(spike_aware_score, grad_norm) = 0.983475\n"
+            "pearson(loss, grad_norm) = 0.158406\n"
+            "method,variance\n"
+            "spike_aware,0.003053987489\n"
+            "loss,0.003645881058\n"
+            "uniform,0.003653098484\n")
+
     def test_one_pass_without_per_example_gradients(self, tmp_path, capsys,
                                                     monkeypatch):
         """analyze makes one forward pass per chunk of examples and forms no

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from sadp import snn
+from sadp.data import DatasetHandle
 from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
                       backward_bptt, col2im, forward, im2col, patch_count,
                       run_layer, soft_spike, surrogate_grad)
+from sadp.training import evaluate
 
 
 def make_cfg(**kw):
@@ -434,3 +436,62 @@ class TestSoftSpike:
         cfg = make_cfg(surrogate_width=0.25)
         u = np.array([0.0, 0.74, 1.26, 3.0])
         np.testing.assert_array_equal(soft_spike(u, cfg), [0.0, 0.0, 1.0, 1.0])
+
+
+class TestPrecision:
+    """The engine computes in its weights' dtype and leaks no other."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch, shape, detached", [
+        ("dense:10,dense:4", (8,), True),
+        ("dense:10,dense:4", (8,), False),
+        ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True)])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_every_array_follows_the_weights(self, dtype, arch, shape,
+                                             detached, smooth):
+        net = Network.from_arch(arch, shape, seed=1, init_scale=2.0).astype(dtype)
+        cfg = make_cfg(reset_detached=detached, time_steps=3)
+        rng = np.random.default_rng(4)
+        # float64 data and loss weights, as training passes them.
+        x = (rng.random((6, 3) + shape) < 0.5).astype(np.float64)
+        labels = rng.integers(0, 4, 6)
+        trace, loss = forward(net, x, labels, cfg, smooth=smooth)
+        bt = backward_bptt(net, trace, loss, cfg)
+        arrays = (trace.spikes + trace.membranes
+                  + [c for c in trace.columns if c is not None]
+                  + [loss.per_example_loss, loss.logits, loss.probs]
+                  + bt.errors + bt.inputs + bt.weight_grads()
+                  + bt.weight_grads(rng.uniform(0.5, 2.0, 6)))
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        acc = evaluate(net, DatasetHandle(x, labels, time_steps=3), cfg)
+        assert 0.0 <= acc <= 1.0
+
+    def test_scalar_helpers_follow_their_input(self):
+        cfg = make_cfg()
+        u = np.array([0.5, 1.0, 1.5], dtype=np.float32)
+        assert surrogate_grad(u, cfg).dtype == np.float32
+        assert soft_spike(u, cfg).dtype == np.float32
+        assert surrogate_grad(1.0, cfg).dtype == np.float64
+        # numpy scalars in the config are held as Python floats, which
+        # promote nothing.
+        assert type(NeuronConfig(decay=np.float64(0.5)).decay) is float
+
+    def test_astype_copies_through_the_one_check(self):
+        net = Network.from_arch("dense:5,dense:3", (4,), seed=2)
+        half = net.astype(np.float32)
+        assert half.dtype == np.float32 and net.dtype == np.float64
+        for w64, w32 in zip(net.weights, half.weights):
+            assert w32.dtype == np.float32
+            np.testing.assert_array_equal(w32, w64.astype(np.float32))
+        back = half.astype(np.float64)
+        assert back.weights[0] is not half.weights[0]
+        assert half.copy().dtype == np.float32
+        half.set_weights(net.weights)
+        assert half.dtype == np.float32 and half.weights[0].dtype == np.float32
+        big = Network([(net.specs[0], np.full((5, 4), 1e39)),
+                       (net.specs[1], net.weights[1])])
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="non-finite"):
+            big.astype(np.float32)  # overflows float32
+        with pytest.raises(ValueError, match="float32 or float64"):
+            net.astype(np.float16)

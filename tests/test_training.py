@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sadp import pruning
+from sadp import pruning, training
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
 from sadp.snn import BackwardTrace, NeuronConfig, Network, backward_bptt, forward
@@ -216,6 +216,31 @@ class TestRunTraining:
         run_training(net, train, test, ncfg, pcfg, opt,
                      TrainState(epochs=2, batch_size=32))
         assert traces and all(bt.per_example_grads == [] for bt in traces)
+
+    def test_float32_engine_on_float64_master_weights(self, monkeypatch):
+        """Each step runs forward, backward and evaluate on a float32 copy;
+        the weights and momentum that SGD updates stay float64 and keep
+        float64 precision."""
+        seen = []
+
+        def recording(fn):
+            def wrapped(net, *args, **kwargs):
+                seen.append((fn.__name__, net.dtype))
+                return fn(net, *args, **kwargs)
+            return wrapped
+        for name in ("forward", "backward_bptt", "evaluate"):
+            monkeypatch.setattr(f"sadp.training.{name}",
+                                recording(getattr(training, name)))
+        net, train, test, ncfg = small_problem()
+        opt = OptimizerState(base_lr=0.05, momentum=0.9)
+        run_training(net, train, test, ncfg, None, opt,
+                     TrainState(epochs=2, batch_size=32))
+        assert {name for name, _ in seen} == {"forward", "backward_bptt",
+                                               "evaluate"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+        for w, buf in zip(net.weights, opt.momentum_buffers):
+            assert w.dtype == buf.dtype == np.float64
+            assert np.any(w != w.astype(np.float32))
 
     def test_processed_counts_track_schedule(self):
         net, train, test, ncfg = small_problem(n=256)
