@@ -25,7 +25,7 @@ import numpy as np
 
 from .pruning import ProbabilityAssignment, spike_aware_score
 from .snn import (Array, BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
-                  NeuronConfig, Network, backward_bptt, forward, im2col)
+                  NeuronConfig, Network, backward_bptt, forward)
 
 MASK_CHUNK = 2000
 NORM_CHUNK = 256  # examples per exact_grad_norms pass
@@ -71,14 +71,28 @@ class CorrelationReport:
     sample_size: int
 
 
+def _im2col(x: Array, kernel: int, stride: int, padding: int) -> Array:
+    """(B, C, H, W) -> (B, C*k*k, P) sliding-window columns, in the plain
+    per-example layout: the oracle shares no column layout with the engine."""
+    b, c, _, _ = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B, C, Ho, Wo, k, k)
+    ho, wo = win.shape[2], win.shape[3]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, ho * wo)
+
+
 def _conv_example_grads(spec: LayerSpec, delta: Array, prev: Array) -> Array:
     """Every example's kernel gradient of one conv layer, (batch, *weight_shape)."""
     batch, t_steps = delta.shape[:2]
     grad = np.zeros((batch,) + spec.weight_shape)
     for t in range(t_steps):
-        cols = im2col(prev[:, t].reshape((batch,) + spec.input_shape),
-                      spec.kernel_size, spec.stride, spec.padding)
-        dflat = delta[:, t].reshape(batch, spec.units, -1)
+        cols = _im2col(prev[:, t].reshape((batch,) + spec.input_shape),
+                       spec.kernel_size, spec.stride, spec.padding)
+        # The engine may store a record examples-last: the oracle's products
+        # read C-order copies (no copy for a C-order record), one step each.
+        dflat = np.ascontiguousarray(delta[:, t]).reshape(batch, spec.units, -1)
         grad += np.einsum("bop,bcp->boc", dflat, cols).reshape(
             (batch,) + spec.weight_shape)
     return grad
@@ -115,8 +129,9 @@ def _squared_grad_norms(btrace: BackwardTrace) -> list[Array]:
     for spec, delta, prev in zip(btrace.specs, btrace.errors, btrace.inputs):
         batch, t_steps = delta.shape[:2]
         if spec.kind == "dense":
-            d = delta.reshape(batch, t_steps, -1)
-            o = prev.reshape(batch, t_steps, -1)
+            # C-order copies of examples-last records, as in _conv_example_grads.
+            d = np.ascontiguousarray(delta).reshape(batch, t_steps, -1)
+            o = np.ascontiguousarray(prev).reshape(batch, t_steps, -1)
             sq = np.einsum("bts,bts->b", d @ d.transpose(0, 2, 1),
                            o @ o.transpose(0, 2, 1))
             # Cancellation across time can round an exact 0 to a tiny negative.

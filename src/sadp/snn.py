@@ -10,6 +10,15 @@ float32 or float64 (`Network.astype` makes the other copy), and casts each
 batch's input to it; every trace array, error and gradient comes out in that
 dtype.  Training runs a float32 copy of its float64 master weights; the
 oracle, `sadp verify` and `sadp analyze` run the same code in float64.
+
+Layout rule: every record is read as (B, T, *layer_shape).  A conv layer,
+and every layer after one, stores its membranes and spikes examples-last, as
+(T, *layer_shape, B), and hands out `np.moveaxis` views of that storage, so
+that im2col, col2im and the GEMMs move rows of contiguous examples and, past
+the first conv layer's input, no layer transposes another's records.  A
+layer's errors inherit its records' order, since numpy's elementwise results
+follow their inputs' memory order.  A dense net stores every record
+(B, T, units), as it reads.
 """
 
 from __future__ import annotations
@@ -221,10 +230,12 @@ class ForwardTrace:
     """Everything recorded during a forward pass.
 
     spikes[0] is the encoded input; spikes[l] / membranes[l-1] for l >= 1 are
-    layer outputs, each with shape (batch, T, *layer_shape).  Membranes are the
-    post-reset potentials; the pre-reset value is membranes + threshold*spikes.
-    columns[l] holds conv layer l's im2col columns of all B*T inputs,
-    (batch*T, C*k*k, P); it is None for a dense layer.
+    layer outputs, each with shape (batch, T, *layer_shape); from the first
+    conv layer on they are views of (T, *layer_shape, batch) storage (the
+    module's layout rule).  Membranes are the post-reset potentials; the
+    pre-reset value is membranes + threshold*spikes.  columns[l] holds conv
+    layer l's im2col columns of all B*T inputs, (T, C*k*k, P*batch) with the
+    examples last; it is None for a dense layer.
     """
 
     spikes: list[Array]
@@ -250,7 +261,9 @@ class BackwardTrace:
     against.
     """
 
-    errors: list[Array]  # errors[l] has shape (batch, T, *layer_shape)
+    # errors[l] has shape (batch, T, *layer_shape), in the memory order of
+    # the forward trace's records of layer l.
+    errors: list[Array]
     inputs: list[Array]  # the forward trace's spikes[:-1], not copies
     specs: list[LayerSpec]
     columns: list[Array | None] = field(default_factory=list)  # as in ForwardTrace
@@ -259,10 +272,11 @@ class BackwardTrace:
     def weight_grads(self, example_weights: Array | None = None) -> list[Array]:
         """Batch gradient per layer: (1/B) sum_i w_i g_i, w_i = 1 by default.
 
-        The weights scale the errors, so each dense layer costs one
-        (B*T, out)^T @ (B*T, in) product and each conv layer one
-        (O, B*P) @ (B*P, C*k*k) product per time step, on the columns the
-        forward pass kept.
+        The weights scale the errors, so a layer stored examples-first
+        (dense) costs one (B*T, out)^T @ (B*T, in) product, and a layer stored
+        examples-last one batched (T, out, P*B) @ (T, P*B, fan_in) product
+        summed over T, on a conv layer's kept columns or a dense layer's input
+        spikes, with no copy of either.
         """
         out = []
         for l, (spec, delta, o) in enumerate(zip(self.specs, self.errors, self.inputs)):
@@ -272,17 +286,14 @@ class BackwardTrace:
                 # float32 error tensor and its GEMM.
                 delta = delta * np.reshape(example_weights, (batch,) + (1,) * (
                     delta.ndim - 1)).astype(delta.dtype, copy=False)
-            if spec.kind == "dense":
+            if spec.kind == "dense" and not _stored_examples_last(delta):
                 g = delta.reshape(batch * t_steps, -1).T \
                     @ o.reshape(batch * t_steps, -1)
             else:
-                oc = spec.output_shape[0]
-                cols = self.columns[l].reshape(batch, t_steps, spec.fan_in, -1)
-                g = np.zeros((oc, spec.fan_in), dtype=delta.dtype)
-                for t in range(t_steps):
-                    d = delta[:, t].reshape(batch, oc, -1)
-                    g += d.transpose(1, 0, 2).reshape(oc, -1) \
-                        @ cols[:, t].transpose(0, 2, 1).reshape(-1, spec.fan_in)
+                d = np.moveaxis(delta, 0, -1).reshape(t_steps, spec.units, -1)
+                cols = self.columns[l] if spec.kind == "conv2d" \
+                    else np.moveaxis(o, 0, -1).reshape(t_steps, -1, batch)
+                g = np.matmul(d, cols.transpose(0, 2, 1)).sum(axis=0)
             out.append(g.reshape(spec.weight_shape) / batch)
         return out
 
@@ -328,57 +339,83 @@ def soft_spike(u: Array, cfg: NeuronConfig) -> Array:
 
 
 def im2col(x: Array, kernel: int, stride: int, padding: int) -> Array:
-    """(B, C, H, W) -> (B, C*k*k, P) sliding-window columns."""
-    b, c, _, _ = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, C, Ho, Wo, k, k)
-    ho, wo = win.shape[2], win.shape[3]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, ho * wo)
+    """(T, C, H, W, B) -> (T, C*k*k, P*B) sliding-window columns, examples last.
+
+    x is any view of that shape; it is copied once into a contiguous padded
+    grid when it has padding or is not yet examples-last in memory.  Each of
+    the k*k window offsets then copies rows of contiguous examples.
+    """
+    t, c, h, w, b = x.shape
+    ho, wo = conv_output_hw((h, w), kernel, stride, padding)
+    if padding or not x.flags.c_contiguous:
+        xp = np.zeros((t, c, h + 2 * padding, w + 2 * padding, b), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
+    cols = np.empty((t, c, kernel, kernel, ho, wo, b), dtype=x.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, i, j] = x[:, :, i:i + stride * ho:stride,
+                                 j:j + stride * wo:stride]
+    return cols.reshape(t, c * kernel * kernel, ho * wo * b)
 
 
 def col2im(cols: Array, x_shape: tuple[int, ...], kernel: int, stride: int,
            padding: int) -> Array:
-    """Adjoint of im2col: scatter-add columns back onto the input grid, laid
-    out (H, W, B, C) so that each of the k*k strided adds moves long rows."""
-    b, c, h, w = x_shape
+    """Adjoint of im2col: scatter-add (T, C*k*k, P*B) columns back onto the
+    (T, C, H, W, B) input grid.  The k*k strided adds run on a contiguous
+    padded grid; the result is its unpadded view."""
+    t, c, h, w, b = x_shape
     ho, wo = conv_output_hw((h, w), kernel, stride, padding)
-    xp = np.zeros((h + 2 * padding, w + 2 * padding, b, c), dtype=cols.dtype)
-    cols6 = cols.reshape(b, c, kernel, kernel, ho, wo)
+    xp = np.zeros((t, c, h + 2 * padding, w + 2 * padding, b), dtype=cols.dtype)
+    cols7 = cols.reshape(t, c, kernel, kernel, ho, wo, b)
     for i in range(kernel):
         for j in range(kernel):
-            xp[i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                cols6[:, :, i, j].transpose(2, 3, 0, 1)
-    return xp[padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
+            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                cols7[:, :, i, j]
+    return xp[:, :, padding:padding + h, padding:padding + w]
+
+
+def _stored_examples_last(record: Array) -> bool:
+    """Whether a (B, T, ...) record is stored examples-last: its examples lie
+    next to each other in memory.  Where both orders are the same array, as
+    at B = 1, this reads False."""
+    return not record.flags.c_contiguous and record.strides[0] == record.itemsize
 
 
 def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
               smooth: bool = False) -> tuple[Array, Array, Array | None]:
     """One layer over all T steps of its inputs (B, T, *input_shape).
 
-    The synaptic current of every step is one GEMM over the B*T input rows (a
-    conv layer's after one im2col), written into the membrane record that the
-    LIF recurrence then overwrites step by step.  That loop is the engine's
-    one LIF recurrence: decay, integrate, fire at >= theta, subtract the
-    reset, in place on a (B, *output_shape) state; smooth=True only swaps the
-    hard threshold for soft_spike.  Returns the spikes and post-reset
-    membranes, (B, T, *output_shape) each, and a conv layer's columns (None
-    for dense).
+    The synaptic current of every step is one GEMM, written into the
+    membrane record that the LIF recurrence then overwrites step by step.  A
+    conv layer, and a dense layer whose input is stored examples-last, store
+    their records examples-last: the current is one W @ cols batched over T,
+    where cols is a conv layer's im2col of its input and a dense layer's
+    input itself, (T, fan_in, P*B).  Other dense layers form it as one GEMM
+    over the B*T input rows.  The LIF loop is the engine's one recurrence:
+    decay, integrate, fire at >= theta, subtract the reset, in place on a
+    state held in the record's memory order; smooth=True only swaps the hard
+    threshold for soft_spike.  Returns the spikes and post-reset membranes,
+    (B, T, *output_shape) each, and a conv layer's columns (None for dense).
     """
     b, t_steps = inputs.shape[:2]
-    u_rec = np.empty((b, t_steps) + spec.output_shape, dtype=w.dtype)
     cols = None
-    if spec.kind == "dense":
+    if spec.kind == "dense" and not _stored_examples_last(inputs):
+        u_rec = np.empty((b, t_steps) + spec.output_shape, dtype=w.dtype)
         np.matmul(inputs.reshape(b * t_steps, -1), w.T,
                   out=u_rec.reshape(b * t_steps, -1))
     else:
-        cols = im2col(inputs.reshape((b * t_steps,) + spec.input_shape),
-                      spec.kernel_size, spec.stride, spec.padding)
-        np.matmul(w.reshape(w.shape[0], -1), cols,
-                  out=u_rec.reshape(b * t_steps, w.shape[0], -1))
+        x = np.moveaxis(inputs.reshape((b, t_steps) + spec.input_shape), 0, -1)
+        if spec.kind == "dense":
+            x_cols = x.reshape(t_steps, -1, b)
+        else:
+            x_cols = cols = im2col(x, spec.kernel_size, spec.stride, spec.padding)
+        u_store = np.empty((t_steps,) + spec.output_shape + (b,), dtype=w.dtype)
+        np.matmul(w.reshape(w.shape[0], -1), x_cols,
+                  out=u_store.reshape(t_steps, w.shape[0], -1))
+        u_rec = np.moveaxis(u_store, -1, 0)
     o_rec = np.empty_like(u_rec)
-    u = np.zeros((b,) + spec.output_shape, dtype=w.dtype)
+    u = np.zeros_like(u_rec[:, 0])
     reset = np.empty_like(u)
     for t in range(t_steps):
         u *= cfg.decay
@@ -394,15 +431,25 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
 
 def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
     """Map a layer's output errors (B, T, *output_shape) back to its input
-    spikes, (B, T, *input_shape): one GEMM over all B*T rows (plus one col2im
-    for a conv layer)."""
+    spikes, (B, T, *input_shape), with one GEMM: over all B*T rows for a
+    dense layer stored examples-first, else W^T @ delta over all T steps
+    (plus one col2im for a conv layer), whose result is a view of
+    examples-last storage."""
     b, t_steps = delta.shape[:2]
-    if spec.kind == "dense":
+    if spec.kind == "dense" and not _stored_examples_last(delta):
         return (delta.reshape(b * t_steps, -1) @ w).reshape(
             (b, t_steps) + spec.input_shape)
-    cols = w.reshape(w.shape[0], -1).T @ delta.reshape(b * t_steps, w.shape[0], -1)
-    return col2im(cols, (b * t_steps,) + spec.input_shape, spec.kernel_size,
-                  spec.stride, spec.padding).reshape((b, t_steps) + spec.input_shape)
+    d = np.moveaxis(delta, 0, -1).reshape(t_steps, w.shape[0], -1)
+    x_shape = (t_steps,) + spec.input_shape + (b,)
+    if spec.kind == "dense":
+        return np.moveaxis((w.T @ d).reshape(x_shape), -1, 0)
+    # One (C*k*k, O) @ (O, T*P*B) product, read back as (T, C*k*k, P*B):
+    # OpenBLAS runs T separate (O, P*B) products of this small inner size
+    # about twice as slowly.
+    cols = w.reshape(w.shape[0], -1).T @ d.transpose(1, 0, 2).reshape(w.shape[0], -1)
+    cols = cols.reshape(spec.fan_in, t_steps, -1).transpose(1, 0, 2)
+    return np.moveaxis(col2im(cols, x_shape, spec.kernel_size, spec.stride,
+                              spec.padding), -1, 0)
 
 
 def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig,

@@ -164,12 +164,15 @@ def check_bptt_correctness(seed: int = 0) -> tuple[bool, str]:
             f"zero-spike gradients {'exactly zero' if zero_ok else 'NONZERO'}")
 
 
-# Gradient-path cases: dense with detached and with attached reset, and conv
-# with stride 2 and padding 1; name -> (arch, input shape, reset_detached).
+# Gradient-path cases: dense with detached and with attached reset, conv with
+# stride 2 and padding 1, and conv with stride 1 and padding 1 as the
+# benchmark's conv net has; name -> (arch, input shape, reset_detached).
+# Each case draws its data from the shared generator, so a new case goes last.
 GRADIENT_CASES = {
     "dense detached": ("dense:16,dense:4", (24,), True),
     "dense attached": ("dense:16,dense:4", (24,), False),
     "conv s2p1": ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8), True),
+    "conv p1": ("conv:4x3x3p1,conv:4x3x3,dense:4", (2, 6, 6), True),
 }
 
 

@@ -3,11 +3,12 @@ import pytest
 
 from sadp import snn
 from sadp.data import DatasetHandle
+from sadp.oracle import _im2col as im2col_nchw
 from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
                       backward_bptt, col2im, forward, im2col, patch_count,
                       run_layer, soft_spike, surrogate_grad)
-from sadp.training import evaluate
+from sadp.training import EVAL_BATCH, evaluate
 
 
 def make_cfg(**kw):
@@ -251,7 +252,7 @@ class TestFromArch:
 def reference_records(net, x, cfg):
     """Spikes and membranes of every layer from a plain loop of LIF steps,
     with each step's current formed on its own (a conv layer's from that
-    step's im2col columns)."""
+    step's columns in the oracle's per-example layout)."""
     batch, t_steps = x.shape[:2]
     spikes, membranes, prev = [], [], x
     for spec, w in net.layers:
@@ -260,7 +261,7 @@ def reference_records(net, x, cfg):
                 (batch, t_steps) + spec.output_shape)
         else:
             current = np.stack([
-                (w.reshape(w.shape[0], -1) @ im2col(
+                (w.reshape(w.shape[0], -1) @ im2col_nchw(
                     prev[:, t].reshape((batch,) + spec.input_shape),
                     spec.kernel_size, spec.stride, spec.padding)).reshape(
                         (batch,) + spec.output_shape)
@@ -285,6 +286,10 @@ class TestEngine:
         ("dense:20,dense:4", (12,), False),
         ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (1, 9, 9), True)])
     def test_forward_matches_lif_step_loop(self, arch, shape, detached):
+        """A dense net's records match exactly.  A conv net stores its
+        records examples-last, and each layer's current is one GEMM in
+        another orientation than the reference's, which reorders its sums:
+        its membranes agree to round-off and its spikes exactly."""
         cfg = NeuronConfig(decay=0.6, threshold=0.5, reset_detached=detached,
                            time_steps=3)
         net = Network.from_arch(arch, shape, seed=1, init_scale=2.0)
@@ -295,22 +300,71 @@ class TestEngine:
         for l, (o, u) in enumerate(zip(spikes, membranes)):
             assert 0.0 < o.mean() < 1.0  # every layer fires, but not always
             np.testing.assert_array_equal(trace.spikes[l + 1], o)
-            np.testing.assert_array_equal(trace.membranes[l], u)
+            if "conv" not in arch:
+                np.testing.assert_array_equal(trace.membranes[l], u)
+            else:
+                np.testing.assert_allclose(trace.membranes[l], u, rtol=0,
+                                           atol=1e-13 * np.abs(u).max())
         np.testing.assert_array_equal(loss.logits, spikes[-1].mean(axis=1))
 
+    LAYOUT_NETS = {
+        "dense": [("dense", (12,), 6), ("dense", (6,), 4)],
+        "dense, conv, dense": [("dense", (12,), 18),
+                               ("conv2d", (2, 3, 3), 3, 2),
+                               ("dense", (3, 2, 2), 4)],
+        "conv, conv, dense": [("conv2d", (2, 6, 6), 4, 3, 1, 1),
+                              ("conv2d", (4, 6, 6), 4, 3),
+                              ("dense", (4, 4, 4), 4)]}
+
+    @pytest.mark.parametrize("case", list(LAYOUT_NETS))
+    def test_records_are_stored_examples_last_from_the_first_conv_layer(
+            self, case):
+        rng = np.random.default_rng(3)
+        specs = [LayerSpec(*args) for args in self.LAYOUT_NETS[case]]
+        net = Network([(spec, rng.uniform(-1.5, 1.5, spec.weight_shape))
+                       for spec in specs])
+        cfg = make_cfg(threshold=0.5, time_steps=3)
+        x = (rng.random((5, 3) + specs[0].input_shape) < 0.5).astype(float)
+        trace, loss = forward(net, x, rng.integers(0, 4, 5), cfg)
+        bt = backward_bptt(net, trace, loss, cfg)
+        seen_conv = False
+        for l, spec in enumerate(specs):
+            seen_conv |= spec.kind == "conv2d"
+            for record in (trace.spikes[l + 1], trace.membranes[l], bt.errors[l]):
+                stored = np.moveaxis(record, 0, -1) if seen_conv else record
+                assert stored.flags.c_contiguous, (l, record.strides)
+
     def test_col2im_matches_strided_adds(self):
-        b, c, h, w, k, stride, pad = 3, 2, 7, 6, 3, 2, 1
+        t, b, c, h, w, k, stride, pad = 2, 3, 2, 7, 6, 3, 2, 1
         ho, wo = snn.conv_output_hw((h, w), k, stride, pad)
-        cols = np.random.default_rng(3).normal(size=(b, c * k * k, ho * wo))
-        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-        cols6 = cols.reshape(b, c, k, k, ho, wo)
+        cols = np.random.default_rng(3).normal(size=(t, c * k * k, ho * wo * b))
+        xp = np.zeros((t, c, h + 2 * pad, w + 2 * pad, b))
+        cols7 = cols.reshape(t, c, k, k, ho, wo, b)
         for i in range(k):
             for j in range(k):
-                xp[:, :, i:i + stride * ho:stride,
-                   j:j + stride * wo:stride] += cols6[:, :, i, j]
+                for y in range(ho):
+                    for z in range(wo):
+                        xp[:, :, i + stride * y, j + stride * z] += \
+                            cols7[:, :, i, j, y, z]
         np.testing.assert_array_equal(
-            col2im(cols, (b, c, h, w), k, stride, pad),
+            col2im(cols, (t, c, h, w, b), k, stride, pad),
             xp[:, :, pad:pad + h, pad:pad + w])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_col2im_is_the_adjoint_of_im2col(self, stride, pad, channels):
+        """<im2col(x), c> = <x, col2im(c)>, with x stored in either order."""
+        rng = np.random.default_rng(5)
+        shape = (2, channels, 7, 6, 4)  # (T, C, H, W, B)
+        x = rng.normal(size=shape)
+        cols = im2col(x, 3, stride, pad)
+        c = rng.normal(size=cols.shape)
+        lhs = float((cols * c).sum())
+        rhs = float((x * col2im(c, shape, 3, stride, pad)).sum())
+        assert abs(lhs - rhs) <= 1e-12
+        examples_first = np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1)
+        np.testing.assert_array_equal(im2col(examples_first, 3, stride, pad), cols)
 
     def test_one_im2col_per_conv_layer_and_none_in_weight_grads(self, monkeypatch):
         counts = {"im2col": 0, "col2im": 0}
@@ -465,6 +519,22 @@ class TestPrecision:
         assert {a.dtype for a in arrays} == {np.dtype(dtype)}
         acc = evaluate(net, DatasetHandle(x, labels, time_steps=3), cfg)
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_evaluate_matches_forward_on_a_conv_net(self, dtype):
+        """evaluate's trace-free batches of EVAL_BATCH, the last one partial,
+        score as forward's logits over the whole set do."""
+        n = 2 * EVAL_BATCH + 13
+        net = Network.from_arch("conv:4x3x3p1,conv:4x3x3,dense:4", (2, 6, 6),
+                                seed=3, init_scale=2.0).astype(dtype)
+        cfg = make_cfg(threshold=0.5, time_steps=3)
+        rng = np.random.default_rng(6)
+        x = (rng.random((n, 3, 2, 6, 6)) < 0.5).astype(np.float64)
+        labels = rng.integers(0, 4, n)
+        _, loss = forward(net, x, labels, cfg)
+        want = float((loss.logits.argmax(axis=1) == labels).mean())
+        assert 0.25 < want < 1.0
+        assert evaluate(net, DatasetHandle(x, labels, time_steps=3), cfg) == want
 
     def test_scalar_helpers_follow_their_input(self):
         cfg = make_cfg()
