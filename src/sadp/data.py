@@ -64,10 +64,15 @@ METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The file
+    gets the mode a plain write would give it, 0o666 less the umask, not the
+    temp file's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
@@ -116,6 +121,9 @@ def _read_idx_array(path: str) -> Array:
         payload = fh.read(expected)
         if len(payload) != expected:
             raise FormatError(f"payload length {len(payload)} != declared {expected}")
+        trailing = len(fh.read())
+        if trailing:
+            raise FormatError(f"{trailing} trailing byte(s) after the IDX payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
@@ -214,6 +222,9 @@ def read_spike_file(path: str) -> DatasetHandle:
     n = dims[0]
     if len(raw) < off + 4 * n:
         raise FormatError("truncated SPKT label block")
+    if len(raw) > off + 4 * n:
+        raise FormatError(f"{len(raw) - off - 4 * n} trailing byte(s) after the "
+                          "SPKT label block")
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
     data = payload.reshape(dims).astype(np.float64)
     t = int(dims[1]) if rank >= 2 else None

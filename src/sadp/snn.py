@@ -14,11 +14,11 @@ oracle, `sadp verify` and `sadp analyze` run the same code in float64.
 Layout rule: every record is read as (B, T, *layer_shape).  A conv layer,
 and every layer after one, stores its membranes and spikes examples-last, as
 (T, *layer_shape, B), and hands out `np.moveaxis` views of that storage, so
-that im2col, col2im and the GEMMs move rows of contiguous examples and, past
-the first conv layer's input, no layer transposes another's records.  A
-layer's errors inherit its records' order, since numpy's elementwise results
-follow their inputs' memory order.  A dense net stores every record
-(B, T, units), as it reads.
+that im2col, the GEMMs and the backprojection's strided adds move rows of
+contiguous examples and, past the first conv layer's input, no layer
+transposes another's records.  A layer's errors inherit its records' order,
+since numpy's elementwise results follow their inputs' memory order.  A dense
+net stores every record (B, T, units), as it reads.
 """
 
 from __future__ import annotations
@@ -359,22 +359,6 @@ def im2col(x: Array, kernel: int, stride: int, padding: int) -> Array:
     return cols.reshape(t, c * kernel * kernel, ho * wo * b)
 
 
-def col2im(cols: Array, x_shape: tuple[int, ...], kernel: int, stride: int,
-           padding: int) -> Array:
-    """Adjoint of im2col: scatter-add (T, C*k*k, P*B) columns back onto the
-    (T, C, H, W, B) input grid.  The k*k strided adds run on a contiguous
-    padded grid; the result is its unpadded view."""
-    t, c, h, w, b = x_shape
-    ho, wo = conv_output_hw((h, w), kernel, stride, padding)
-    xp = np.zeros((t, c, h + 2 * padding, w + 2 * padding, b), dtype=cols.dtype)
-    cols7 = cols.reshape(t, c, kernel, kernel, ho, wo, b)
-    for i in range(kernel):
-        for j in range(kernel):
-            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                cols7[:, :, i, j]
-    return xp[:, :, padding:padding + h, padding:padding + w]
-
-
 def _stored_examples_last(record: Array) -> bool:
     """Whether a (B, T, ...) record is stored examples-last: its examples lie
     next to each other in memory.  Where both orders are the same array, as
@@ -431,10 +415,11 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
 
 def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
     """Map a layer's output errors (B, T, *output_shape) back to its input
-    spikes, (B, T, *input_shape), with one GEMM: over all B*T rows for a
-    dense layer stored examples-first, else W^T @ delta over all T steps
-    (plus one col2im for a conv layer), whose result is a view of
-    examples-last storage."""
+    spikes, (B, T, *input_shape): one GEMM over all B*T rows for a dense
+    layer stored examples-first, else W^T @ delta over all T steps, whose
+    result is a view of examples-last storage.  A conv layer makes one such
+    product per kernel offset and adds it into that offset's strided window
+    of a zeroed, padded input grid; the result is its unpadded view."""
     b, t_steps = delta.shape[:2]
     if spec.kind == "dense" and not _stored_examples_last(delta):
         return (delta.reshape(b * t_steps, -1) @ w).reshape(
@@ -443,13 +428,14 @@ def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
     x_shape = (t_steps,) + spec.input_shape + (b,)
     if spec.kind == "dense":
         return np.moveaxis((w.T @ d).reshape(x_shape), -1, 0)
-    # One (C*k*k, O) @ (O, T*P*B) product, read back as (T, C*k*k, P*B):
-    # OpenBLAS runs T separate (O, P*B) products of this small inner size
-    # about twice as slowly.
-    cols = w.reshape(w.shape[0], -1).T @ d.transpose(1, 0, 2).reshape(w.shape[0], -1)
-    cols = cols.reshape(spec.fan_in, t_steps, -1).transpose(1, 0, 2)
-    return np.moveaxis(col2im(cols, x_shape, spec.kernel_size, spec.stride,
-                              spec.padding), -1, 0)
+    (c, h, wd), (ho, wo) = spec.input_shape, spec.output_shape[1:]
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    xp = np.zeros((t_steps, c, h + 2 * p, wd + 2 * p, b), dtype=d.dtype)
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i:i + s * ho:s, j:j + s * wo:s] += np.matmul(
+                w[:, :, i, j].T, d).reshape(t_steps, c, ho, wo, b)
+    return np.moveaxis(xp[:, :, p:p + h, p:p + wd], -1, 0)
 
 
 def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig,

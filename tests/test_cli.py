@@ -4,6 +4,7 @@ import logging
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import types
@@ -228,6 +229,31 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot read dataset {path}: ")
+
+    @pytest.mark.parametrize("kind", ["spkt", "idx"])
+    def test_trailing_bytes_are_usage_error(self, tmp_path, capsys, kind):
+        """Bytes past the declared end of a dataset file: one error line that
+        counts them, and exit 2."""
+        if kind == "spkt":
+            path = tmp_path / "long.spkt"
+            write_spike_file(DatasetHandle(np.zeros((5, 2, 4)), np.zeros(5),
+                                           time_steps=2), str(path))
+            path.write_bytes(path.read_bytes() + bytes(7))
+            extra = 7
+        else:
+            images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+            images.write_bytes(bytes([0, 0, 8, 2]) + struct.pack(">2I", 5, 4)
+                               + bytes(20 + 4))
+            labels.write_bytes(bytes([0, 0, 8, 1]) + struct.pack(">I", 5)
+                               + bytes(5))
+            path, extra = f"{images}:{labels}", 4
+        assert main(["train", "-o", f"dataset.path={path}",
+                     "-o", f"out.metrics={tmp_path}/m.csv",
+                     "-o", f"out.weights={tmp_path}/w.npz"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot read dataset {path}: {extra} trailing "
+                       f"byte(s) after the {kind.upper()} "
+                       f"{'label block' if kind == 'spkt' else 'payload'}"]
 
 
 class TestAllocator:

@@ -1,10 +1,11 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from sadp.data import (DatasetHandle, FormatError, RangeError, MetricsRow,
-                       METRICS_HEADER, encode, gen_synthetic,
+                       METRICS_HEADER, atomic_write_bytes, encode, gen_synthetic,
                        gen_synthetic_split, load_idx,
                        nearest_prototype_accuracy, read_spike_file,
                        write_metrics, write_spike_file)
@@ -54,6 +55,17 @@ class TestIdx:
         p.write_bytes(idx_bytes((2, 4, 4), bytes(10)))
         with pytest.raises(FormatError):
             load_idx(str(p))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "long.idx"
+        p.write_bytes(idx_bytes((2, 2, 2), bytes(8)) + bytes(4))
+        with pytest.raises(FormatError, match="4 trailing byte"):
+            load_idx(str(p))
+        labels = tmp_path / "labels.idx"
+        labels.write_bytes(idx_bytes((2,), bytes([1, 0])) + bytes(4))
+        p.write_bytes(idx_bytes((2, 2, 2), bytes(8)))
+        with pytest.raises(FormatError, match="4 trailing byte"):
+            load_idx(str(p), str(labels))
 
 
 class TestEncode:
@@ -148,6 +160,14 @@ class TestSpikeFile:
         with pytest.raises(FormatError):
             read_spike_file(str(p))
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        h = gen_synthetic(2, 4, 2, 4, 0.0, seed=0)
+        p = tmp_path / "long.spkt"
+        write_spike_file(h, str(p))
+        p.write_bytes(p.read_bytes() + bytes(7))
+        with pytest.raises(FormatError, match="7 trailing byte"):
+            read_spike_file(str(p))
+
     def test_rejects_non_binary(self, tmp_path):
         h = DatasetHandle(data=np.array([[0.5]]), labels=np.array([0]))
         with pytest.raises(ValueError):
@@ -164,3 +184,21 @@ class TestMetrics:
         lines = p.read_text().splitlines()
         assert lines[0] == METRICS_HEADER
         assert lines[1] == "1,0.25,100,1.5,0.75,0.123456,0,2"
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_mode_is_what_a_plain_write_gives(self, tmp_path, umask, mode):
+        """The written file gets 0o666 less the umask, as open() would give
+        it, and the umask itself is left as it was."""
+        p = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(str(p), b"x\n")
+            assert os.umask(umask) == umask
+        finally:
+            os.umask(old)
+        assert p.read_bytes() == b"x\n"
+        assert p.stat().st_mode & 0o777 == mode
+        assert os.listdir(tmp_path) == ["out.csv"]

@@ -6,7 +6,7 @@ from sadp.data import DatasetHandle
 from sadp.oracle import _im2col as im2col_nchw
 from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
-                      backward_bptt, col2im, forward, im2col, patch_count,
+                      backward_bptt, forward, im2col, patch_count,
                       run_layer, soft_spike, surrogate_grad)
 from sadp.training import EVAL_BATCH, evaluate
 
@@ -334,40 +334,56 @@ class TestEngine:
                 stored = np.moveaxis(record, 0, -1) if seen_conv else record
                 assert stored.flags.c_contiguous, (l, record.strides)
 
-    def test_col2im_matches_strided_adds(self):
-        t, b, c, h, w, k, stride, pad = 2, 3, 2, 7, 6, 3, 2, 1
-        ho, wo = snn.conv_output_hw((h, w), k, stride, pad)
-        cols = np.random.default_rng(3).normal(size=(t, c * k * k, ho * wo * b))
-        xp = np.zeros((t, c, h + 2 * pad, w + 2 * pad, b))
-        cols7 = cols.reshape(t, c, k, k, ho, wo, b)
-        for i in range(k):
-            for j in range(k):
-                for y in range(ho):
-                    for z in range(wo):
-                        xp[:, :, i + stride * y, j + stride * z] += \
-                            cols7[:, :, i, j, y, z]
-        np.testing.assert_array_equal(
-            col2im(cols, (t, c, h, w, b), k, stride, pad),
-            xp[:, :, pad:pad + h, pad:pad + w])
+    @pytest.mark.parametrize("kernel, stride, pad", [
+        (3, 2, 1), (1, 2, 0), (2, 3, 0), (3, 1, 2), (3, 2, 2)])
+    def test_conv_backprojection_matches_a_loop_over_output_positions(
+            self, kernel, stride, pad):
+        """Each output position's errors, times the kernel, land on the input
+        positions its window reads; a position no window reads gets zero.
+        Small integers keep every sum exact."""
+        t, b, c, o, h, w = 2, 3, 2, 3, 7, 6
+        spec = LayerSpec("conv2d", (c, h, w), o, kernel, stride, pad)
+        ho, wo = spec.output_shape[1:]
+        rng = np.random.default_rng(3)
+        weights = rng.integers(-3, 4, spec.weight_shape).astype(float)
+        stored = rng.integers(-3, 4, (t, o, ho, wo, b)).astype(float)
+        delta = np.moveaxis(stored, -1, 0)  # (B, T, O, Ho, Wo), examples last
+        xp = np.zeros((b, t, c, h + 2 * pad, w + 2 * pad))
+        for y in range(ho):
+            for z in range(wo):
+                xp[:, :, :, stride * y:stride * y + kernel,
+                   stride * z:stride * z + kernel] += np.einsum(
+                       "btk,kcij->btcij", delta[:, :, :, y, z], weights)
+        np.testing.assert_array_equal(snn._backproject(spec, weights, delta),
+                                      xp[:, :, :, pad:pad + h, pad:pad + w])
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_col2im_is_the_adjoint_of_im2col(self, stride, pad, channels):
-        """<im2col(x), c> = <x, col2im(c)>, with x stored in either order."""
+    def test_conv_backprojection_is_the_adjoint_of_the_forward_product(
+            self, stride, pad, kernel, channels):
+        """<W im2col(x), d> = <x, backproject(d)>, with x stored in either
+        order for im2col."""
         rng = np.random.default_rng(5)
-        shape = (2, channels, 7, 6, 4)  # (T, C, H, W, B)
-        x = rng.normal(size=shape)
-        cols = im2col(x, 3, stride, pad)
-        c = rng.normal(size=cols.shape)
-        lhs = float((cols * c).sum())
-        rhs = float((x * col2im(c, shape, 3, stride, pad)).sum())
+        t, b = 2, 4
+        spec = LayerSpec("conv2d", (channels, 7, 6), 2, kernel, stride, pad)
+        weights = rng.normal(size=spec.weight_shape)
+        x = rng.normal(size=(t,) + spec.input_shape + (b,))
+        cols = im2col(x, kernel, stride, pad)
+        current = np.matmul(weights.reshape(spec.units, -1), cols)  # (T, O, P*B)
+        d = rng.normal(size=current.shape)
+        delta = np.moveaxis(d.reshape((t,) + spec.output_shape + (b,)), -1, 0)
+        lhs = float((current * d).sum())
+        rhs = float((np.moveaxis(x, -1, 0)
+                     * snn._backproject(spec, weights, delta)).sum())
         assert abs(lhs - rhs) <= 1e-12
         examples_first = np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1)
-        np.testing.assert_array_equal(im2col(examples_first, 3, stride, pad), cols)
+        np.testing.assert_array_equal(im2col(examples_first, kernel, stride, pad),
+                                      cols)
 
     def test_one_im2col_per_conv_layer_and_none_in_weight_grads(self, monkeypatch):
-        counts = {"im2col": 0, "col2im": 0}
+        counts = {"im2col": 0}
 
         def counting(name):
             fn = getattr(snn, name)
@@ -384,12 +400,10 @@ class TestEngine:
         rng = np.random.default_rng(4)
         x = (rng.random((6, 4, 1, 9, 9)) < 0.4).astype(float)
         trace, loss = forward(net, x, rng.integers(0, 4, 6), cfg)
-        assert counts == {"im2col": 2, "col2im": 0}
+        assert counts == {"im2col": 2}
         bt = backward_bptt(net, trace, loss, cfg)
-        # Only conv layer 1 maps its errors back onto a conv layer's output.
-        assert counts == {"im2col": 2, "col2im": 1}
         bt.weight_grads(rng.random(6))
-        assert counts == {"im2col": 2, "col2im": 1}
+        assert counts == {"im2col": 2}
 
 
 class TestPatchCount:
