@@ -13,12 +13,16 @@ full weight gradient, and the batch gradient and the exact norms are checked
 against it.  exact_grad_norms never forms those tensors for dense layers: a
 dense layer's per-example gradient is sum_t delta_t o_t^T, so its squared
 norm is sum_{t,s} (delta_t . delta_s)(o_t . o_s), the entrywise product of
-two T x T Gram matrices per example.  It makes one pass per chunk of
-NORM_CHUNK examples, so its memory beyond the dataset does not grow with N.
+two T x T Gram matrices per example.  It makes one pass per chunk of at most
+NORM_CHUNK examples, on as many threads as the CPUs that BLAS leaves idle, so
+its memory beyond the dataset grows with that thread count but not with N.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,8 +31,14 @@ from .pruning import ProbabilityAssignment, spike_aware_score
 from .snn import (Array, BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
                   NeuronConfig, Network, backward_bptt, forward)
 
+logger = logging.getLogger(__name__)
+
 MASK_CHUNK = 2000
-NORM_CHUNK = 256  # examples per exact_grad_norms pass
+# Examples per exact_grad_norms pass, from a sweep of 64, 128 and 256: a
+# float64 dense:256 trace record of 128 examples at T = 8 is 2 MB, one L2.
+NORM_CHUNK = 128
+# The variables OpenBLAS reads its thread count from, in the order it reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class InfiniteVarianceError(ValueError):
@@ -163,6 +173,22 @@ def _batch_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
                           all_layer_scores=all_scores)
 
 
+def _norm_workers(chunks: int) -> int:
+    """Threads for exact_grad_norms: min(chunks, usable CPUs // BLAS threads).
+
+    BLAS threads is the first positive integer among BLAS_THREAD_VARS.  With
+    none set, BLAS runs on every CPU itself, so the chunks run serially.
+    """
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, min(chunks, len(os.sched_getaffinity(0)) // blas))
+    return 1
+
+
 def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
                      score_layers: tuple[int, ...]) -> GradNormReport:
     """Exact per-example gradient norms plus the spike-aware bound, from one
@@ -170,20 +196,50 @@ def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig
 
     The chunks are near-equal (np.array_split), so none is smaller than
     NORM_CHUNK // 2 once N > NORM_CHUNK: a batch of a few examples rounds the
-    last layer's GEMM differently from a whole-batch pass.
+    last layer's GEMM differently from a whole-batch pass.  Their bounds
+    depend only on N.  _norm_workers(chunks) threads, the caller among them,
+    take the chunks in order and each pass writes its own rows of the report,
+    so the report is bit for bit the serial one and at most that many chunks
+    are in flight.  If passes fail, the caller re-raises the error of the
+    first failing chunk, as the serial loop would.
     """
     n = data.shape[0]
     chunks = max(-(-n // NORM_CHUNK), 1)
     names = [f.name for f in fields(GradNormReport)]
     report = GradNormReport(*(np.empty(n) for _ in names))
     score_layers = tuple(score_layers)
-    stop = 0
-    for x, y in zip(np.array_split(data, chunks), np.array_split(labels, chunks)):
-        rows = slice(stop, stop + y.shape[0])
-        stop = rows.stop
-        part = _batch_norms(net, x, y, cfg, score_layers)
-        for name in names:
-            getattr(report, name)[rows] = getattr(part, name)
+    edges = np.cumsum([0] + [y.shape[0] for y in np.array_split(labels, chunks)])
+    todo = iter(range(chunks))
+    lock = threading.Lock()
+    failed: list[tuple[int, BaseException]] = []
+
+    def work() -> None:
+        while not failed:
+            with lock:
+                index = next(todo, None)
+            if index is None:
+                return
+            start, stop = edges[index], edges[index + 1]
+            try:
+                part = _batch_norms(net, data[start:stop], labels[start:stop],
+                                    cfg, score_layers)
+            except BaseException as exc:  # re-raised by the caller
+                failed.append((index, exc))
+                return
+            for name in names:
+                getattr(report, name)[start:stop] = getattr(part, name)
+
+    workers = _norm_workers(chunks)
+    logger.debug("exact_grad_norms: %d chunks on %d threads", chunks, workers)
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        # Every chunk before the first failure was handed out, so ran.
+        raise min(failed, key=lambda item: item[0])[1]
     return report
 
 

@@ -272,25 +272,29 @@ class BackwardTrace:
     def weight_grads(self, example_weights: Array | None = None) -> list[Array]:
         """Batch gradient per layer: (1/B) sum_i w_i g_i, w_i = 1 by default.
 
-        The weights scale the errors, so a layer stored examples-first
-        (dense) costs one (B*T, out)^T @ (B*T, in) product, and a layer stored
-        examples-last one batched (T, out, P*B) @ (T, P*B, fan_in) product
-        summed over T, on a conv layer's kept columns or a dense layer's input
-        spikes, with no copy of either.
+        The weights scale the errors in their storage order, so a layer stored
+        examples-first (dense) costs one (B*T, out)^T @ (B*T, in) product, and
+        a layer stored examples-last one batched (T, out, P*B) @ (T, P*B,
+        fan_in) product summed over T, on a conv layer's kept columns or a
+        dense layer's input spikes, with no copy of either.
         """
+        # In the errors' dtype: float64 loss weights must not promote a
+        # float32 error tensor and its GEMM.
+        w = None if example_weights is None else \
+            np.asarray(example_weights, dtype=self.errors[0].dtype)
         out = []
         for l, (spec, delta, o) in enumerate(zip(self.specs, self.errors, self.inputs)):
             batch, t_steps = delta.shape[:2]
-            if example_weights is not None:
-                # In delta's dtype: float64 loss weights must not promote a
-                # float32 error tensor and its GEMM.
-                delta = delta * np.reshape(example_weights, (batch,) + (1,) * (
-                    delta.ndim - 1)).astype(delta.dtype, copy=False)
             if spec.kind == "dense" and not _stored_examples_last(delta):
+                if w is not None:
+                    delta = delta * w.reshape((batch,) + (1,) * (delta.ndim - 1))
                 g = delta.reshape(batch * t_steps, -1).T \
                     @ o.reshape(batch * t_steps, -1)
             else:
-                d = np.moveaxis(delta, 0, -1).reshape(t_steps, spec.units, -1)
+                d = np.moveaxis(delta, 0, -1)  # (T, *layer_shape, B), as stored
+                if w is not None:
+                    d = d * w
+                d = d.reshape(t_steps, spec.units, -1)
                 cols = self.columns[l] if spec.kind == "conv2d" \
                     else np.moveaxis(o, 0, -1).reshape(t_steps, -1, batch)
                 g = np.matmul(d, cols.transpose(0, 2, 1)).sum(axis=0)
