@@ -20,7 +20,7 @@ from .data import (DatasetHandle, atomic_write_bytes, encode,
                    write_metrics, write_spike_file)
 from .pruning import (NO_PRUNING, PruneConfig, method_probabilities,
                       target_size)
-from .snn import NeuronConfig, Network, fits
+from .snn import NeuronConfig, Network, fits, parse_arch
 from .training import (NumericDivergenceError, OptimizerState, TrainState,
                        run_training)
 
@@ -177,15 +177,21 @@ def save_weights(net: Network, arch: str, input_shape, path: str) -> None:
 
 
 def load_weights(path: str) -> Network:
+    """The net a save_weights file holds, built once from its arrays, which
+    must be exactly arch, input_shape and w0 .. w{L-1}."""
     with _reading("weights", path), np.load(path) as z:
         arch = str(z["arch"])
         shape = z["input_shape"]
         if shape.ndim != 1 or shape.dtype.kind not in "iu":
             raise ValueError(f"input_shape must be a 1-D integer array, got "
                              f"{shape.dtype} of shape {shape.shape}")
-        net = Network.from_arch(arch, tuple(int(v) for v in shape))
-        net.set_weights([z[f"w{i}"] for i in range(len(net))])
-    return net
+        specs = parse_arch(arch, tuple(int(v) for v in shape))
+        names = ["arch", "input_shape"] + [f"w{i}" for i in range(len(specs))]
+        if set(z.files) != set(names):
+            raise ValueError(f"arrays {', '.join(sorted(z.files))} are not "
+                             f"those of a {len(specs)}-layer net: "
+                             f"{', '.join(names)}")
+        return Network([(spec, z[f"w{i}"]) for i, spec in enumerate(specs)])
 
 
 def _prune_config(cfg: dict, n_layers: int) -> PruneConfig:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .pruning import ConfigError, resolve_score_layers
+
 
 class UsageError(ValueError):
     """Bad or missing configuration; maps to process exit code 2."""
@@ -116,17 +118,16 @@ def parse_config(path: str | None = None,
 
 
 def parse_score_layers(text: str, n_layers: int) -> tuple[int, ...]:
-    if text.strip() == "last":
-        return (n_layers - 1,)
-    if text.strip() == "all":
+    """score.layers: `last`, `all` or comma-separated layer indices, checked
+    by `pruning.resolve_score_layers`."""
+    text = text.strip()
+    if text == "all":
         return tuple(range(n_layers))
     try:
-        layers = tuple(int(v) for v in text.split(","))
+        layers = None if text == "last" else tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad score.layers value {text!r}") from exc
-    for l in layers:
-        if not 0 <= l < n_layers:
-            raise UsageError(f"score layer {l} out of range for {n_layers} layers")
-    if len(set(layers)) != len(layers):
-        raise UsageError(f"score.layers {text!r} names a layer twice")
-    return layers
+    try:
+        return resolve_score_layers(layers, n_layers)
+    except ConfigError as exc:
+        raise UsageError(f"score.layers {text!r}: {exc}") from exc

@@ -27,7 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .pruning import ProbabilityAssignment, spike_aware_score
+from .pruning import (ProbabilityAssignment, resolve_score_layers,
+                      spike_aware_score)
 from .snn import (Array, BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
                   NeuronConfig, Network, backward_bptt, forward)
 
@@ -207,7 +208,7 @@ def exact_grad_norms(net: Network, data: Array, labels: Array, cfg: NeuronConfig
     chunks = max(-(-n // NORM_CHUNK), 1)
     names = [f.name for f in fields(GradNormReport)]
     report = GradNormReport(*(np.empty(n) for _ in names))
-    score_layers = tuple(score_layers)
+    score_layers = resolve_score_layers(score_layers, len(net))
     edges = np.cumsum([0] + [y.shape[0] for y in np.array_split(labels, chunks)])
     todo = iter(range(chunks))
     lock = threading.Lock()
@@ -371,7 +372,7 @@ def fd_gradient_check(net: Network, data: Array, labels: Array, cfg: NeuronConfi
             flat_idx -= sizes[layer]
             layer += 1
         idx = np.unravel_index(flat_idx, net.weights[layer].shape)
-        perturbed = net.copy()
+        perturbed = net.astype(net.dtype)
         perturbed.layers[layer][1][idx] += epsilon
         up = mean_loss(perturbed)
         perturbed.layers[layer][1][idx] -= 2.0 * epsilon

@@ -35,8 +35,10 @@ class PruneConfig:
     """Pruning schedule, smoothing floor and importance score of a run.
 
     score_layers are the layers the spike-aware score sums over; None means
-    the last layer.  A run without pruning is NO_PRUNING: ratio 0 selects
-    every example in every epoch, with no score, solve or draw.
+    the last layer.  They are checked against a net's layer count, which a
+    config does not know, by `resolve_score_layers` when a score is formed.
+    A run without pruning is NO_PRUNING: ratio 0 selects every example in
+    every epoch, with no score, solve or draw.
     """
 
     ratio: float
@@ -73,6 +75,24 @@ class ProbabilityAssignment:
     iterations: int = 0
 
 
+def resolve_score_layers(score_layers: tuple[int, ...] | None,
+                         n_layers: int) -> tuple[int, ...]:
+    """The layers a spike-aware score sums over in a net of n_layers: None
+    means the last layer; otherwise a non-empty set of indices in
+    [0, n_layers), each named once."""
+    if score_layers is None:
+        return (n_layers - 1,)
+    layers = tuple(score_layers)
+    if not layers:
+        raise ConfigError("score layers must not be empty")
+    for l in layers:
+        if not 0 <= l < n_layers:
+            raise ConfigError(f"score layer {l} out of range for {n_layers} layers")
+    if len(set(layers)) != len(layers):
+        raise ConfigError(f"score layers {layers} name a layer twice")
+    return layers
+
+
 def spike_aware_score(btrace: BackwardTrace,
                       score_layers: tuple[int, ...] | None = None) -> Array:
     """Per-example sum over layers and time of ||error|| * ||input spikes||.
@@ -82,14 +102,7 @@ def spike_aware_score(btrace: BackwardTrace,
     sqrt(patch count) factor a conv layer's bound needs; a dense layer counts
     one patch, so its factor is exactly 1 and the score is always a bound.
     """
-    n_layers = len(btrace.specs)
-    score_layers = (n_layers - 1,) if score_layers is None else tuple(score_layers)
-    if not score_layers:
-        raise ConfigError("score_layers must not be empty")
-    for l in score_layers:
-        if not 0 <= l < n_layers:
-            raise ConfigError(f"score layer {l} out of range")
-
+    score_layers = resolve_score_layers(score_layers, len(btrace.specs))
     batch, t_steps = btrace.errors[0].shape[:2]
     total = np.zeros(batch)
     for l in score_layers:

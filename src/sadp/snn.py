@@ -131,9 +131,9 @@ ENGINE_DTYPES = (np.float32, np.float64)
 
 class Network:
     """Ordered stack of (LayerSpec, weight) pairs; adjacent shapes must compose.
-    The constructor is the one check on weight arrays, set_weights' and
-    astype's included: every layer's weights are held in `dtype`, float64
-    unless asked for float32."""
+    The constructor is the one check on weight arrays, astype's and
+    weight files' included: every layer's weights are held in `dtype`,
+    float64 unless asked for float32."""
 
     def __init__(self, layers: list[tuple[LayerSpec, Array]],
                  dtype: np.typing.DTypeLike = np.float64):
@@ -170,13 +170,6 @@ class Network:
     def weights(self) -> list[Array]:
         return [w for _, w in self.layers]
 
-    def set_weights(self, weights: list[Array]) -> None:
-        self.layers = Network(list(zip(self.specs, weights, strict=True)),
-                              self.dtype).layers
-
-    def copy(self) -> "Network":
-        return self.astype(self.dtype)
-
     def astype(self, dtype: np.typing.DTypeLike) -> "Network":
         """A copy of the network with its weights held in `dtype`."""
         return Network([(spec, w.astype(dtype)) for spec, w in self.layers], dtype)
@@ -184,23 +177,33 @@ class Network:
     @classmethod
     def from_arch(cls, arch: str, input_shape: tuple[int, ...], seed: int = 0,
                   init_scale: float = 1.0) -> "Network":
-        """Build a network from an arch string like "dense:64,dense:10" or
-        "conv:8x3x3,dense:10".  Conv entries accept optional sN / pM suffixes
-        for stride and padding, e.g. "conv:8x3x3s2p1".  A conv layer reads an
-        (H, W) input as one channel.  Errors name the offending token."""
+        """The network of `parse_arch(arch, input_shape)`, with layer l's
+        weights drawn as the l-th uniform(-b, b) call of default_rng(seed),
+        b = init_scale * sqrt(3 / fan_in)."""
         rng = np.random.default_rng(seed)
-        shape = tuple(input_shape)
         layers: list[tuple[LayerSpec, Array]] = []
-        for token in arch.split(","):
-            token = token.strip()
-            try:
-                spec = _parse_layer(token, shape)
-            except ValueError as exc:
-                raise type(exc)(f"layer {token!r}: {exc}") from exc
+        for spec in parse_arch(arch, input_shape):
             bound = init_scale * math.sqrt(3.0 / spec.fan_in)
             layers.append((spec, rng.uniform(-bound, bound, size=spec.weight_shape)))
-            shape = spec.output_shape
         return cls(layers)
+
+
+def parse_arch(arch: str, input_shape: tuple[int, ...]) -> list[LayerSpec]:
+    """The layers of an arch string like "dense:64,dense:10" or
+    "conv:8x3x3,dense:10" on per-step inputs of `input_shape`.  Conv entries
+    accept optional sN / pM suffixes for stride and padding, e.g.
+    "conv:8x3x3s2p1".  A conv layer reads an (H, W) input as one channel.
+    Errors name the offending token."""
+    shape = tuple(input_shape)
+    specs: list[LayerSpec] = []
+    for token in arch.split(","):
+        token = token.strip()
+        try:
+            specs.append(_parse_layer(token, shape))
+        except ValueError as exc:
+            raise type(exc)(f"layer {token!r}: {exc}") from exc
+        shape = specs[-1].output_shape
+    return specs
 
 
 def _parse_layer(token: str, shape: tuple[int, ...]) -> LayerSpec:

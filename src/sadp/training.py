@@ -17,8 +17,7 @@ import numpy as np
 from .data import DatasetHandle, MetricsRow
 from .pruning import (NO_PRUNING, PruneConfig, loss_score, select,
                       spike_aware_score)
-from .snn import (Array, NeuronConfig, Network, backward_bptt, forward,
-                  run_layer)
+from .snn import Array, NeuronConfig, Network, backward_bptt, forward
 
 logger = logging.getLogger(__name__)
 
@@ -92,19 +91,13 @@ ENGINE_DTYPE = np.float32  # the dtype training runs the engine in
 
 
 def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
-    """Classification accuracy on a pre-encoded dataset, in net's dtype.
-
-    Runs the layers without a trace: only the spikes the next layer reads
-    are kept, and the logits are forward's mean output spike counts.
-    """
+    """Classification accuracy on a pre-encoded dataset, in net's dtype: the
+    argmax of forward's logits, EVAL_BATCH examples at a time."""
     correct = 0
     for start in range(0, handle.n, EVAL_BATCH):
-        o = np.asarray(handle.data[start:start + EVAL_BATCH], dtype=net.dtype)
-        for spec, w in net.layers:
-            o = run_layer(spec, w, o, cfg)[0]
-        logits = o.reshape(o.shape[0], o.shape[1], -1).mean(axis=1)
-        correct += int((logits.argmax(axis=1)
-                        == handle.labels[start:start + EVAL_BATCH]).sum())
+        labels = handle.labels[start:start + EVAL_BATCH]
+        _, loss = forward(net, handle.data[start:start + EVAL_BATCH], labels, cfg)
+        correct += int((loss.logits.argmax(axis=1) == labels).sum())
     return correct / handle.n
 
 

@@ -539,12 +539,13 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0", "nan",
                                       "2-d-shape", "fractional-shape",
-                                      "complex"])
+                                      "complex", "extra-w2"])
     def test_malformed_weights_file_is_usage_error(self, tmp_path, capsys,
                                                     case):
         """Weights read from a file pass the checks of every Network's
         weights, so a NaN or complex weight, too, ends in one error line; an
-        input shape that is not a 1-D integer array is not cut to one."""
+        input shape that is not a 1-D integer array is not cut to one, and
+        an array beyond the arch's layers is not ignored."""
         path = tmp_path / "w.npz"
         if case == "junk":
             path.write_bytes(b"\x93junk!!!")
@@ -560,6 +561,10 @@ class TestAnalyzeCommand:
             np.savez(path, arch=np.array("dense:12,dense:4"),
                      input_shape=np.array([16.7]), w0=np.zeros((12, 16)),
                      w1=np.zeros((4, 12)))
+        elif case == "extra-w2":
+            np.savez(path, arch=np.array("dense:12,dense:4"),
+                     input_shape=np.array([16]), w0=np.zeros((12, 16)),
+                     w1=np.zeros((4, 12)), w2=np.zeros((4, 4)))
         elif case == "complex":
             np.savez(path, arch=np.array("dense:12,dense:4"),
                      input_shape=np.array([16]),

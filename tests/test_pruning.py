@@ -5,14 +5,14 @@ import pytest
 
 from sadp import pruning
 from sadp.pruning import (NO_PRUNING, SCORES, ConfigError, PruneConfig,
-                          loss_weights, method_probabilities, sample_mask,
-                          schedule_ratio, select, smooth_probabilities,
-                          solve_probabilities, spike_aware_score, loss_score,
-                          target_size)
+                          loss_weights, method_probabilities,
+                          resolve_score_layers, sample_mask, schedule_ratio,
+                          select, smooth_probabilities, solve_probabilities,
+                          spike_aware_score, loss_score, target_size)
 from sadp.snn import (BackwardTrace, LayerSpec, LossOutput, NeuronConfig,
-                      Network, forward, patch_count)
-from sadp.oracle import (per_example_gradients, solve_probabilities_sorted,
-                         variance_formula)
+                      Network, backward_bptt, forward, patch_count)
+from sadp.oracle import (exact_grad_norms, per_example_gradients,
+                         solve_probabilities_sorted, variance_formula)
 from sadp.verify import random_score_instance
 
 
@@ -88,6 +88,33 @@ class TestSpikeAwareScore:
         with pytest.raises(ConfigError):
             spike_aware_score(bt, ())
 
+    def test_layer_named_twice_rejected(self):
+        """A layer named twice would add its term twice, 2x the score of
+        naming it once, while the exact norm restricted to it counts it
+        once; the score and the exact-norm report both reject it."""
+        rng = np.random.default_rng(4)
+        net = Network.from_arch("dense:6,dense:4", (5,), seed=1)
+        cfg = NeuronConfig(decay=0.5, time_steps=2)
+        x = (rng.random((8, 2, 5)) < 0.6).astype(float)
+        y = rng.integers(0, 4, 8)
+        trace, loss = forward(net, x, y, cfg)
+        bt = backward_bptt(net, trace, loss, cfg)
+        assert spike_aware_score(bt, (1,)).any()
+        with pytest.raises(ConfigError, match="name a layer twice"):
+            spike_aware_score(bt, (1, 1))
+        with pytest.raises(ConfigError, match="name a layer twice"):
+            exact_grad_norms(net, x, y, cfg, (1, 1))
+
+    def test_one_score_layer_rule(self):
+        assert resolve_score_layers(None, 3) == (2,)
+        assert resolve_score_layers([2, 0], 3) == (2, 0)
+        for layers, text in (((), "must not be empty"),
+                             ((3,), "score layer 3 out of range"),
+                             ((-1,), "score layer -1 out of range"),
+                             ((0, 2, 0), "name a layer twice")):
+            with pytest.raises(ConfigError, match=text):
+                resolve_score_layers(layers, 3)
+
 
 class TestLossScore:
     def test_identity_with_per_example_loss(self):
@@ -97,8 +124,7 @@ class TestLossScore:
         np.testing.assert_array_equal(loss_score(lo), lo.per_example_loss)
 
     def test_uniform_logits_log_classes(self):
-        net = Network.from_arch("dense:3", (4,), seed=0)
-        net.set_weights([np.zeros((3, 4))])
+        net = Network([(LayerSpec("dense", (4,), 3), np.zeros((3, 4)))])
         cfg = NeuronConfig(decay=0.5, time_steps=2)
         _, lo = forward(net, np.ones((3, 2, 4)), np.zeros(3, dtype=int), cfg)
         assert loss_score(lo) == pytest.approx(np.full(3, np.log(3)))

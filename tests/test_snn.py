@@ -6,7 +6,7 @@ from sadp.data import DatasetHandle
 from sadp.oracle import _im2col as im2col_nchw
 from sadp.oracle import per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
-                      backward_bptt, forward, im2col, patch_count,
+                      backward_bptt, forward, im2col, parse_arch, patch_count,
                       run_layer, soft_spike, surrogate_grad)
 from sadp.training import EVAL_BATCH, evaluate
 
@@ -157,22 +157,17 @@ class TestForward:
         with pytest.raises(ValueError):
             Network([(spec, np.full((2, 3), np.nan))])
 
-    def test_set_weights_checks_as_the_constructor_does(self):
-        net = Network.from_arch("dense:4,dense:2", (3,), seed=0)
-        before = [w.copy() for w in net.weights]
-        bad = {"nan": [np.full((4, 3), np.nan), np.zeros((2, 4))],
-               "shape": [np.zeros((4, 3)), np.zeros((4, 2))],
-               "count": [np.zeros((4, 3))]}
+    def test_constructor_checks_every_weight_array(self):
+        """The one check on weight arrays: finiteness and each layer's
+        shape, with the weights cast to the network's dtype."""
+        specs = parse_arch("dense:4,dense:2", (3,))
         with pytest.raises(ValueError, match="non-finite weights"):
-            net.set_weights(bad["nan"])
+            Network(list(zip(specs, [np.full((4, 3), np.nan), np.zeros((2, 4))])))
         with pytest.raises(ShapeError, match=r"weight shape \(4, 2\) != "
                                              r"expected \(2, 4\)"):
-            net.set_weights(bad["shape"])
-        with pytest.raises(ValueError):
-            net.set_weights(bad["count"])
-        for w, old in zip(net.weights, before):
-            np.testing.assert_array_equal(w, old)
-        net.set_weights([np.ones((4, 3), dtype=np.float32), np.zeros((2, 4))])
+            Network(list(zip(specs, [np.zeros((4, 3)), np.zeros((4, 2))])))
+        net = Network(list(zip(specs, [np.ones((4, 3), dtype=np.float32),
+                                       np.zeros((2, 4))])))
         assert net.weights[0].dtype == np.float64 and net.weights[0].sum() == 12
 
 
@@ -229,6 +224,20 @@ class TestFromArch:
         assert flat.specs[0].input_shape == (1, 6, 6)
         for a, b in zip(flat.weights, chan.weights):
             np.testing.assert_array_equal(a, b)
+
+    def test_layer_l_draws_the_l_th_uniform_call(self):
+        """from_arch(seed=s) is parse_arch plus one uniform(-b, b) call of
+        default_rng(s) per layer, in layer order, b = init_scale *
+        sqrt(3 / fan_in): initial weights, and every output that starts
+        from them, depend on that order."""
+        arch, shape = "conv:3x3x3p1,dense:6,dense:4", (2, 5, 5)
+        net = Network.from_arch(arch, shape, seed=11, init_scale=1.5)
+        rng = np.random.default_rng(11)
+        assert net.specs == parse_arch(arch, shape)
+        for spec, w in net.layers:
+            bound = 1.5 * np.sqrt(3.0 / spec.fan_in)
+            np.testing.assert_array_equal(
+                w, rng.uniform(-bound, bound, size=spec.weight_shape))
 
     ERRORS = {
         "dense:0": ((4,), ValueError, "layer 'dense:0': needs at least one unit"),
@@ -536,7 +545,7 @@ class TestPrecision:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_evaluate_matches_forward_on_a_conv_net(self, dtype):
-        """evaluate's trace-free batches of EVAL_BATCH, the last one partial,
+        """evaluate's batches of EVAL_BATCH, the last one partial,
         score as forward's logits over the whole set do."""
         n = 2 * EVAL_BATCH + 13
         net = Network.from_arch("conv:4x3x3p1,conv:4x3x3,dense:4", (2, 6, 6),
@@ -569,9 +578,6 @@ class TestPrecision:
             np.testing.assert_array_equal(w32, w64.astype(np.float32))
         back = half.astype(np.float64)
         assert back.weights[0] is not half.weights[0]
-        assert half.copy().dtype == np.float32
-        half.set_weights(net.weights)
-        assert half.dtype == np.float32 and half.weights[0].dtype == np.float32
         big = Network([(net.specs[0], np.full((5, 4), 1e39)),
                        (net.specs[1], net.weights[1])])
         with np.errstate(over="ignore"), pytest.raises(ValueError,
