@@ -20,9 +20,8 @@ from .data import (DatasetHandle, atomic_write_bytes, encode,
                    write_metrics, write_spike_file)
 from .pruning import (NO_PRUNING, PruneConfig, method_probabilities,
                       target_size)
-from .snn import NeuronConfig, Network, fits, parse_arch
-from .training import (NumericDivergenceError, OptimizerState, TrainState,
-                       run_training)
+from .snn import NeuronConfig, Network, check_data, parse_arch
+from .training import NumericDivergenceError, TrainConfig, run_training
 
 logger = logging.getLogger("sadp")
 
@@ -94,12 +93,12 @@ def _reading(what: str, path: str):
 
 
 @contextlib.contextmanager
-def _config_values():
-    """Report a config value that a run record rejects as a usage error."""
+def _config_values(prefix: str = "invalid config: "):
+    """Report a value that a run record or data rule rejects as a usage error."""
     try:
         yield
     except ValueError as exc:
-        raise UsageError(f"invalid config: {exc}") from exc
+        raise UsageError(f"{prefix}{exc}") from exc
 
 
 def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
@@ -149,23 +148,16 @@ def build_network(cfg: dict, train: DatasetHandle) -> Network:
                              seed=cfg["seed.init"])
 
 
-def _check_data_fits(net: Network, *handles: DatasetHandle) -> None:
-    """Reject data the net cannot run on before the engine runs: data with no
-    time axis, a per-step shape whose size differs from layer 0's input
-    (forward's rule, `snn.fits`), or a label beyond the output layer's units."""
-    layer0 = net.specs[0].input_shape
-    units = int(np.prod(net.specs[-1].output_shape))
-    for handle in handles:
-        if handle.time_steps is None or handle.data.ndim < 3:
-            raise UsageError(f"dataset of shape {handle.data.shape} is not "
-                             "(N, T, ...) spike data")
-        shape = handle.input_shape
-        if not fits(shape, layer0):
-            raise UsageError(f"dataset input shape {shape} does not fit "
-                             f"layer 0 input {layer0}")
-        if handle.n and int(handle.labels.max()) >= units:
-            raise UsageError(f"dataset label {int(handle.labels.max())} out of "
-                             f"range for {units} output units")
+def _fitted_neuron_config(cfg: dict, net: Network,
+                          *handles: DatasetHandle) -> NeuronConfig:
+    """The neuron config at the first handle's T, once every handle fits net
+    (`snn.check_data`); a misfit is a usage error."""
+    with _config_values():  # T = 1 for no time axis, which check_data rejects
+        ncfg = neuron_config(cfg, handles[0].time_steps or 1)
+    with _config_values(""):
+        for handle in handles:
+            check_data(net, handle.data, handle.labels, ncfg, "dataset")
+    return ncfg
 
 
 def save_weights(net: Network, arch: str, input_shape, path: str) -> None:
@@ -208,23 +200,20 @@ def cmd_train(cfg: dict) -> int:
     train, test = load_dataset(cfg)
     with _config_values():
         net = build_network(cfg, train)
-    _check_data_fits(net, train, test)
-    with _config_values():
-        ncfg = neuron_config(cfg, train.time_steps)
-        opt = OptimizerState(base_lr=cfg["train.lr"], momentum=cfg["train.momentum"],
-                             weight_decay=cfg["train.weight_decay"],
-                             schedule=cfg["train.lr_schedule"])
-        state = TrainState(epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
+        tcfg = TrainConfig(epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
+                           lr=cfg["train.lr"], momentum=cfg["train.momentum"],
+                           weight_decay=cfg["train.weight_decay"],
+                           schedule=cfg["train.lr_schedule"],
                            seed_sample=cfg["seed.sample"],
                            seed_shuffle=cfg["seed.shuffle"])
         pcfg = _prune_config(cfg, len(net))
+    ncfg = _fitted_neuron_config(cfg, net, train, test)
     metrics = run_training(net, train, test, ncfg,
-                           pcfg if cfg["prune.enabled"] else NO_PRUNING, opt,
-                           state)
+                           pcfg if cfg["prune.enabled"] else NO_PRUNING, tcfg)
     write_metrics(metrics, cfg["out.metrics"])
     save_weights(net, cfg["net.arch"], net.specs[0].input_shape,
                  cfg["out.weights"])
-    print(f"trained {state.epochs} epochs; metrics -> {cfg['out.metrics']}, "
+    print(f"trained {tcfg.epochs} epochs; metrics -> {cfg['out.metrics']}, "
           f"weights -> {cfg['out.weights']}")
     return EXIT_OK
 
@@ -240,9 +229,8 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_analyze(cfg: dict) -> int:
     train, _ = load_dataset(cfg)
     net = load_weights(cfg["out.weights"])
-    _check_data_fits(net, train)
+    ncfg = _fitted_neuron_config(cfg, net, train)
     with _config_values():
-        ncfg = neuron_config(cfg, train.time_steps)
         pcfg = _prune_config(cfg, len(net))
     n = train.n
     if n < 2:

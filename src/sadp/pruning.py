@@ -35,8 +35,7 @@ class PruneConfig:
     """Pruning schedule, smoothing floor and importance score of a run.
 
     score_layers are the layers the spike-aware score sums over; None means
-    the last layer.  They are checked against a net's layer count, which a
-    config does not know, by `resolve_score_layers` when a score is formed.
+    the last layer; `resolve_score_layers` checks them against a net.
     A run without pruning is NO_PRUNING: ratio 0 selects every example in
     every epoch, with no score, solve or draw.
     """

@@ -445,22 +445,44 @@ def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
     return np.moveaxis(xp[:, :, p:p + h, p:p + wd], -1, 0)
 
 
+def check_data(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
+               name: str = "batch") -> None:
+    """The one rule for data a net runs on, batch or dataset: (N, T, ...) with
+    N >= 1, T = cfg.time_steps and a per-step size that `fits` layer 0, and
+    N integer labels within the output layer's units; errors start `name`."""
+    shape, labels = np.shape(data), np.asarray(labels)
+    if len(shape) < 3:
+        raise ShapeError(f"{name} of shape {shape} is not (N, T, ...) spike data")
+    if shape[1] != cfg.time_steps:
+        raise ShapeError(f"{name} has {shape[1]} time steps, not the run's "
+                         f"T = {cfg.time_steps}")
+    layer0, units = net.specs[0].input_shape, math.prod(net.specs[-1].output_shape)
+    if not fits(shape[2:], layer0):
+        raise ShapeError(f"{name} input shape {shape[2:]} does not fit layer 0 "
+                         f"input {layer0}")
+    if shape[0] == 0:
+        raise ValueError(f"{name} has no example")
+    if labels.shape != shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} labels must be one integer per example, "
+                         f"got {labels.dtype} of shape {labels.shape}")
+    worst = labels.min() if labels.min() < 0 else labels.max()
+    if not 0 <= worst < units:
+        raise ValueError(f"{name} label {worst} out of range for {units} output units")
+
+
 def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig,
             smooth: bool = False) -> tuple[ForwardTrace, LossOutput]:
     """Run the network over T time steps, recording all state.
 
     encoded_input has shape (batch, T, *input_shape); spikes or currents at
-    layer 0, cast to the network's dtype.  The readout is the per-class mean
+    layer 0, cast to the network's dtype.  The batch and its labels pass
+    `check_data` before any layer runs.  The readout is the per-class mean
     output spike count over T, scored with softmax cross-entropy.  With
     smooth=True the hard threshold is replaced by its soft counterpart (for
     gradient checking).
     """
     x = np.asarray(encoded_input, dtype=net.dtype)
-    if x.ndim < 3 or x.shape[1] != cfg.time_steps:
-        raise ShapeError(f"input must be (batch, T={cfg.time_steps}, ...), got {x.shape}")
-    if not fits(x.shape[2:], net.specs[0].input_shape):
-        raise ShapeError(f"input shape {x.shape[2:]} does not match layer 0 "
-                         f"input {net.specs[0].input_shape}")
+    check_data(net, x, labels, cfg)
     batch, t_steps = x.shape[0], x.shape[1]
     labels = np.asarray(labels, dtype=np.int64)
 
@@ -477,8 +499,6 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     shifted = logits - logits.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
     probs = expv / expv.sum(axis=1, keepdims=True)
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("labels out of range for the output layer")
     nll = -np.log(probs[np.arange(batch), labels])
     trace = ForwardTrace(spikes=spikes, membranes=membranes, columns=columns)
     loss = LossOutput(per_example_loss=nll, logits=logits, probs=probs, labels=labels)

@@ -10,14 +10,14 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DatasetHandle, MetricsRow
-from .pruning import (NO_PRUNING, PruneConfig, loss_score, select,
-                      spike_aware_score)
-from .snn import Array, NeuronConfig, Network, backward_bptt, forward
+from .pruning import (NO_PRUNING, PruneConfig, loss_score,
+                      resolve_score_layers, select, spike_aware_score)
+from .snn import Array, NeuronConfig, Network, backward_bptt, check_data, forward
 
 logger = logging.getLogger(__name__)
 
@@ -26,17 +26,21 @@ class NumericDivergenceError(RuntimeError):
     pass
 
 
-@dataclass
-class OptimizerState:
-    base_lr: float
+@dataclass(frozen=True)
+class TrainConfig:
+    """A training run's settings; run_training keeps the run's state."""
+
+    epochs: int
+    batch_size: int
+    lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
     schedule: str = "cosine"
-    learning_rate: float = field(init=False)
-    momentum_buffers: list[Array] = field(default_factory=list)
+    seed_sample: int = 1
+    seed_shuffle: int = 2
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.base_lr < math.inf:
+        if not 0.0 < self.lr < math.inf:
             raise ValueError("learning rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
@@ -44,39 +48,25 @@ class OptimizerState:
             raise ValueError("weight decay must be non-negative and finite")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr schedule {self.schedule!r}")
-        self.learning_rate = self.base_lr
-
-
-@dataclass
-class TrainState:
-    epochs: int
-    batch_size: int
-    seed_sample: int = 1
-    seed_shuffle: int = 2
-
-    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def sgd_step(weights: list[Array], grads: list[Array], opt: OptimizerState) -> list[Array]:
-    """In-place SGD with momentum and weight decay on the (float64 master)
-    weights; float32 gradients are promoted as they are added."""
-    if not opt.momentum_buffers:
-        opt.momentum_buffers = [np.zeros_like(w) for w in weights]
-    for w, g, buf in zip(weights, grads, opt.momentum_buffers):
+def sgd_step(weights: list[Array], grads: list[Array], buffers: list[Array],
+             lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
+    """In-place SGD with momentum and weight decay on weights and buffers."""
+    for w, g, buf in zip(weights, grads, buffers):
         if w.shape != g.shape:
             raise ValueError("gradient shape mismatch")
         if not np.all(np.isfinite(g)):
             raise NumericDivergenceError("non-finite gradient")
-        buf *= opt.momentum
+        buf *= momentum
         buf += g
-        if opt.weight_decay:
-            buf += opt.weight_decay * w
-        w -= opt.learning_rate * buf
-    return weights
+        if weight_decay:
+            buf += weight_decay * w
+        w -= lr * buf
 
 
 def cosine_lr(k: int, total_epochs: int, base_lr: float) -> float:
@@ -103,31 +93,35 @@ def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
 
 def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
                  ncfg: NeuronConfig, pcfg: PruneConfig | None,
-                 opt: OptimizerState, state: TrainState) -> list[MetricsRow]:
-    """Train for state.epochs epochs under pcfg (None: NO_PRUNING).
+                 cfg: TrainConfig) -> list[MetricsRow]:
+    """Train for cfg.epochs epochs under pcfg (None: NO_PRUNING).
 
-    Each epoch: set the learning rate, select the epoch's examples and loss
-    weights from the (stale) scores with `pruning.select`, and run weighted
-    mini-batch SGD over them: forward, backward and the gradient run on an
-    ENGINE_DTYPE copy of net, and sgd_step updates net itself.  Unless the
-    score kind is uniform, scores are refreshed for every trained example
-    from the traces already produced by the backward pass.  An epoch that
-    selects nothing writes a row whose loss and accuracy are NaN.
+    Train and test pass `check_data`, and pcfg's score layers
+    `resolve_score_layers`, before any weight changes.  Each epoch runs
+    weighted mini-batch SGD on the examples and loss weights `pruning.select`
+    draws from the (stale) scores, on an ENGINE_DTYPE copy of net; sgd_step
+    updates net and the run's float64 momentum buffers.  Unless the score kind
+    is uniform, each trained example's score is refreshed from its backward
+    pass.  An epoch that selects nothing writes a row of NaN loss and accuracy.
     """
     pcfg = pcfg or NO_PRUNING
+    check_data(net, train.data, train.labels, ncfg, "train set")
+    if test is not None:
+        check_data(net, test.data, test.labels, ncfg, "test set")
+    score_layers = resolve_score_layers(pcfg.score_layers, len(net))
+    buffers = [np.zeros_like(w) for w in net.weights]
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
     scores = np.ones(train.n)
     metrics: list[MetricsRow] = []
 
-    for k in range(1, state.epochs + 1):
+    for k in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        opt.learning_rate = cosine_lr(k, state.epochs, opt.base_lr) \
-            if opt.schedule == "cosine" else opt.base_lr
-        sel = select(k, state.epochs, scores, pcfg, state.seed_sample,
-                     state.seed_shuffle)
+        lr = cosine_lr(k, cfg.epochs, cfg.lr) if cfg.schedule == "cosine" else cfg.lr
+        sel = select(k, cfg.epochs, scores, pcfg, cfg.seed_sample,
+                     cfg.seed_shuffle)
 
         loss_sum = 0.0
-        b = state.batch_size
+        b = cfg.batch_size
         for start in range(0, sel.indices.size, b):
             idx = sel.indices[start:start + b]
             w_batch = sel.weights[start:start + b]
@@ -137,9 +131,10 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
                 raise NumericDivergenceError(f"non-finite loss in epoch {k}")
             btrace = backward_bptt(engine, trace, lo, ncfg)
             grads = btrace.weight_grads(example_weights=w_batch)
-            sgd_step(net.weights, grads, opt)
+            sgd_step(net.weights, grads, buffers, lr, cfg.momentum,
+                     cfg.weight_decay)
             if pcfg.score == "spike_aware":
-                scores[idx] = spike_aware_score(btrace, pcfg.score_layers)
+                scores[idx] = spike_aware_score(btrace, score_layers)
             elif pcfg.score == "loss":
                 scores[idx] = loss_score(lo)
             loss_sum += float((w_batch * lo.per_example_loss).sum())

@@ -21,7 +21,7 @@ from .data import gen_synthetic_split
 from .pruning import PruneConfig, schedule_ratio, smooth_probabilities, \
     solve_probabilities, spike_aware_score
 from .snn import BackwardTrace, NeuronConfig, Network, backward_bptt, forward
-from .training import ENGINE_DTYPE, OptimizerState, TrainState, run_training
+from .training import ENGINE_DTYPE, TrainConfig, run_training
 
 
 def random_score_instance(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -49,11 +49,9 @@ def train_synthetic(pcfg, seed=0, epochs=8, arch="dense:12,dense:4", n=96,
     net = Network.from_arch(arch, (params["dim"],), seed=seed)
     ncfg = NeuronConfig(decay=params["decay"], threshold=params["threshold"],
                         time_steps=params["t"])
-    opt = OptimizerState(base_lr=params["lr"], momentum=0.9)
-    state = TrainState(epochs=epochs, batch_size=params["batch"])
-    rows = run_training(net, train, test_h if test else None, ncfg, pcfg, opt,
-                        state)
-    return net, rows
+    tcfg = TrainConfig(epochs=epochs, batch_size=params["batch"],
+                       lr=params["lr"], momentum=0.9)
+    return net, run_training(net, train, test_h if test else None, ncfg, pcfg, tcfg)
 
 
 def check_solver_equivalence(seed: int = 0) -> tuple[bool, str]:
@@ -372,10 +370,10 @@ def check_correlation_ordering(seed: int = 0) -> tuple[bool, str]:
         train, _ = gen_synthetic_split(4, 256, 8, 8, 24, noise=0.15, seed=s)
         net = Network.from_arch("dense:16,dense:4", (24,), seed=s)
         cfg = NeuronConfig(decay=0.5, time_steps=8)
-        opt = OptimizerState(base_lr=0.05, momentum=0.9, schedule="constant")
-        state = TrainState(epochs=5, batch_size=32, seed_sample=s + 100,
+        tcfg = TrainConfig(epochs=5, batch_size=32, lr=0.05, momentum=0.9,
+                           schedule="constant", seed_sample=s + 100,
                            seed_shuffle=s + 200)
-        run_training(net, train, None, cfg, None, opt, state)
+        run_training(net, train, None, cfg, None, tcfg)
         rep = oracle.measure_correlations(net, train.data, train.labels, cfg)
         wins += rep.score_vs_norm > rep.loss_vs_norm
         parts.append(f"seed {s}: {rep.score_vs_norm:.3f} vs {rep.loss_vs_norm:.3f}")

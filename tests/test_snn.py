@@ -133,6 +133,28 @@ class TestForward:
             forward(net, np.zeros((2, 5, 3)), np.zeros(2, dtype=int),
                     make_cfg(time_steps=2))
 
+    LABEL_CASES = {
+        "column": (np.zeros((3, 1), dtype=int), "one integer per example"),
+        "fractional": (np.array([0.0, 1.7, 2.0]), "one integer per example"),
+        "short": (np.zeros(2, dtype=int), "one integer per example"),
+        "too-large": (np.array([0, 5, 1]), "batch label 5 out of range for "
+                                           "4 output units"),
+        "negative": (np.array([0, -1, 3]), "batch label -1 out of range"),
+    }
+
+    @pytest.mark.parametrize("case", list(LABEL_CASES))
+    def test_labels_checked_before_any_layer(self, monkeypatch, case):
+        """Labels that are not one in-range integer per example raise before
+        the first layer runs."""
+        labels, message = self.LABEL_CASES[case]
+        net = Network.from_arch("dense:6,dense:4", (5,), seed=0)
+
+        def no_layer(*args, **kwargs):
+            raise AssertionError("a layer ran before the labels were checked")
+        monkeypatch.setattr(snn, "run_layer", no_layer)
+        with pytest.raises(ValueError, match=message):
+            forward(net, np.ones((3, 2, 5)), labels, make_cfg(time_steps=2))
+
     def test_size_rule_for_data_and_layers(self):
         """Data and a preceding layer fit a layer when their sizes match, in
         any shape; forward and Network apply that one rule."""
@@ -143,7 +165,7 @@ class TestForward:
         _, square = forward(net, x, np.zeros(3, dtype=int), cfg)
         np.testing.assert_array_equal(square.logits, flat.logits)
         with pytest.raises(ShapeError, match=r"input shape \(15,\) does not "
-                                             r"match layer 0 input \(16,\)"):
+                                             r"fit layer 0 input \(16,\)"):
             forward(net, np.ones((3, 2, 15)), np.zeros(3, dtype=int), cfg)
         conv = LayerSpec("conv2d", (1, 4, 4), 2, kernel_size=3)
         Network([(conv, np.zeros((2, 1, 3, 3))),
