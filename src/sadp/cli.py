@@ -117,7 +117,7 @@ def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
                 images, labels = path.split(":", 1)
                 handle = load_idx(images, labels)
                 spikes = encode(handle.data, cfg["encode.mode"], t,
-                                seed=cfg["seed.init"])
+                                seed=_data_seed(cfg))
                 handle = DatasetHandle(spikes, handle.labels, time_steps=t)
             else:
                 handle = read_spike_file(path)
@@ -140,7 +140,13 @@ def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
                                    max(n // 4, cfg["dataset.synthetic.classes"]),
                                    t, cfg["dataset.synthetic.dim"],
                                    cfg["dataset.synthetic.noise"],
-                                   seed=cfg["seed.init"])
+                                   seed=_data_seed(cfg))
+
+
+def _data_seed(cfg: dict) -> np.random.SeedSequence:
+    """The seed of the data draws (synthetic data, rate encoding): a child of
+    seed.init's sequence, so no draw shares the weights' default_rng(seed.init)."""
+    return np.random.SeedSequence(cfg["seed.init"], spawn_key=(0,))
 
 
 def build_network(cfg: dict, train: DatasetHandle) -> Network:
@@ -280,7 +286,7 @@ def cmd_gen_data(cfg: dict) -> int:
                                cfg["dataset.synthetic.t"],
                                cfg["dataset.synthetic.dim"],
                                cfg["dataset.synthetic.noise"],
-                               seed=cfg["seed.init"])
+                               seed=_data_seed(cfg))
     write_spike_file(handle, cfg["dataset.path"])
     print(f"wrote {handle.n} examples to {cfg['dataset.path']}")
     return EXIT_OK

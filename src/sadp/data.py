@@ -127,7 +127,8 @@ def _read_idx_array(path: str) -> Array:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def encode(values: Array, mode: str, time_steps: int, seed: int = 0) -> Array:
+def encode(values: Array, mode: str, time_steps: int,
+           seed: int | np.random.SeedSequence = 0) -> Array:
     """Turn analog values in [0, 1] into a T-step input sequence.
 
     direct: the value is injected as an identical current at every step.
@@ -145,8 +146,8 @@ def encode(values: Array, mode: str, time_steps: int, seed: int = 0) -> Array:
     raise ValueError(f"unknown encoding mode {mode!r}")
 
 
-def gen_synthetic(classes: int, n: int, time_steps: int, dim: int,
-                  noise: float, seed: int = 0) -> DatasetHandle:
+def gen_synthetic(classes: int, n: int, time_steps: int, dim: int, noise: float,
+                  seed: int | np.random.SeedSequence = 0) -> DatasetHandle:
     """Random binary prototype patterns with independent bit flips.
 
     Each class gets a (T, dim) Bernoulli(0.5) prototype; every example copies
@@ -167,7 +168,7 @@ def gen_synthetic(classes: int, n: int, time_steps: int, dim: int,
 
 
 def gen_synthetic_split(classes: int, n_train: int, n_test: int, time_steps: int,
-                        dim: int, noise: float, seed: int = 0
+                        dim: int, noise: float, seed: int | np.random.SeedSequence = 0
                         ) -> tuple[DatasetHandle, DatasetHandle]:
     """Train/test pair drawn from one shared set of prototypes."""
     full = gen_synthetic(classes, n_train + n_test, time_steps, dim, noise, seed)

@@ -8,8 +8,9 @@ correlation, and finite-difference gradient checks.  The spike-aware score
 is not one of them: exact_grad_norms reports `pruning.spike_aware_score` of
 the same pass next to the norms, so the two can be compared.
 
-per_example_gradients is the brute-force reference: it forms every example's
-full weight gradient, and the batch gradient and the exact norms are checked
+per_example_gradients is the brute-force reference: it returns every
+example's full weight gradient, contracted from a backward trace without a
+pass of its own, and the batch gradient and the exact norms are checked
 against it.  exact_grad_norms never forms those tensors for dense layers: a
 dense layer's per-example gradient is sum_t delta_t o_t^T, so its squared
 norm is sum_{t,s} (delta_t . delta_s)(o_t . o_s), the entrywise product of
@@ -29,8 +30,8 @@ import numpy as np
 
 from .pruning import (ProbabilityAssignment, resolve_score_layers,
                       spike_aware_score)
-from .snn import (Array, BackwardTrace, ForwardTrace, LayerSpec, LossOutput,
-                  NeuronConfig, Network, backward_bptt, forward)
+from .snn import (Array, BackwardTrace, LayerSpec, NeuronConfig, Network,
+                  backward_bptt, forward)
 
 logger = logging.getLogger(__name__)
 
@@ -109,24 +110,19 @@ def _conv_example_grads(spec: LayerSpec, delta: Array, prev: Array) -> Array:
     return grad
 
 
-def per_example_gradients(net: Network, data: Array, labels: Array,
-                          cfg: NeuronConfig
-                          ) -> tuple[ForwardTrace, LossOutput, BackwardTrace]:
-    """Forward and backward pass over a batch; fills the returned trace's
-    per_example_grads with every example's weight gradient, grads[l] of shape
-    (batch, *weight_shape), contracted directly from errors and input spikes."""
-    trace, loss = forward(net, data, labels, cfg)
-    btrace = backward_bptt(net, trace, loss, cfg)
-    batch, t_steps = trace.batch_size, trace.time_steps
+def per_example_gradients(btrace: BackwardTrace) -> list[Array]:
+    """Every example's weight gradient per layer, (batch, *weight_shape),
+    contracted directly from a backward trace's errors and input spikes."""
+    grads = []
     for spec, delta, prev in zip(btrace.specs, btrace.errors, btrace.inputs):
         if spec.kind == "dense":
-            grad = np.einsum("bto,bti->boi",
-                             delta.reshape(batch, t_steps, -1),
-                             prev.reshape(batch, t_steps, -1))
+            batch, t_steps = delta.shape[:2]
+            grads.append(np.einsum("bto,bti->boi",
+                                   delta.reshape(batch, t_steps, -1),
+                                   prev.reshape(batch, t_steps, -1)))
         else:
-            grad = _conv_example_grads(spec, delta, prev)
-        btrace.per_example_grads.append(grad)
-    return trace, loss, btrace
+            grads.append(_conv_example_grads(spec, delta, prev))
+    return grads
 
 
 def _squared_grad_norms(btrace: BackwardTrace) -> list[Array]:
@@ -301,7 +297,8 @@ def estimator_stats(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    grads = per_example_gradients(net, data, labels, cfg)[2].per_example_grads
+    trace, loss = forward(net, data, labels, cfg)
+    grads = per_example_gradients(backward_bptt(net, trace, loss, cfg))
     n = data.shape[0]
     flat = np.concatenate([g.reshape(n, -1) for g in grads], axis=1)
     g_full = flat.mean(axis=0)
@@ -404,7 +401,7 @@ def project_to_capped_simplex(v: Array, total: float) -> Array:
 
 def measure_correlations(net: Network, data: Array, labels: Array,
                          cfg: NeuronConfig) -> CorrelationReport:
-    """Pearson correlation of all-layer spike-aware scores and of losses vs
-    exact gradient norms."""
+    """exact_grad_norms over every layer, correlated.  Only perfbench calls
+    it; delete it once perfbench calls `correlations()` itself."""
     return exact_grad_norms(net, data, labels, cfg,
                             tuple(range(len(net)))).correlations()

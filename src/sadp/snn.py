@@ -236,32 +236,23 @@ class ForwardTrace:
     layer outputs, each with shape (batch, T, *layer_shape); from the first
     conv layer on they are views of (T, *layer_shape, batch) storage (the
     module's layout rule).  Membranes are the post-reset potentials; the
-    pre-reset value is membranes + threshold*spikes.  columns[l] holds conv
-    layer l's im2col columns of all B*T inputs, (T, C*k*k, P*batch) with the
-    examples last; it is None for a dense layer.
+    pre-reset value is membranes + threshold*spikes.  columns[l] is what an
+    examples-last layer's GEMM multiplies, (T, fan_in, P*batch): a conv
+    layer's im2col columns or a dense layer's input view; it is None for a
+    dense layer stored examples-first.
     """
 
     spikes: list[Array]
     membranes: list[Array]
     columns: list[Array | None]
 
-    @property
-    def time_steps(self) -> int:
-        return self.spikes[0].shape[1]
-
-    @property
-    def batch_size(self) -> int:
-        return self.spikes[0].shape[0]
-
 
 @dataclass
 class BackwardTrace:
     """Per-layer, per-time BPTT errors and the input spikes they multiply.
 
-    The batch gradient is formed on demand by weight_grads.  Per-example
-    gradients are never formed here; only sadp.oracle.per_example_gradients
-    fills per_example_grads, as the reference the batch gradient is checked
-    against.
+    The batch gradient is formed on demand by weight_grads; per-example
+    gradients are the oracle's return value, never part of a trace.
     """
 
     # errors[l] has shape (batch, T, *layer_shape), in the memory order of
@@ -270,6 +261,7 @@ class BackwardTrace:
     inputs: list[Array]  # the forward trace's spikes[:-1], not copies
     specs: list[LayerSpec]
     columns: list[Array | None] = field(default_factory=list)  # as in ForwardTrace
+    # Always empty; read only by perfbench, and deleted with that reader.
     per_example_grads: list[Array] = field(default_factory=list)
 
     def weight_grads(self, example_weights: Array | None = None) -> list[Array]:
@@ -278,8 +270,8 @@ class BackwardTrace:
         The weights scale the errors in their storage order, so a layer stored
         examples-first (dense) costs one (B*T, out)^T @ (B*T, in) product, and
         a layer stored examples-last one batched (T, out, P*B) @ (T, P*B,
-        fan_in) product summed over T, on a conv layer's kept columns or a
-        dense layer's input spikes, with no copy of either.
+        fan_in) product summed over T, on the layer's kept columns, with no
+        copy.
         """
         # In the errors' dtype: float64 loss weights must not promote a
         # float32 error tensor and its GEMM.
@@ -298,9 +290,7 @@ class BackwardTrace:
                 if w is not None:
                     d = d * w
                 d = d.reshape(t_steps, spec.units, -1)
-                cols = self.columns[l] if spec.kind == "conv2d" \
-                    else np.moveaxis(o, 0, -1).reshape(t_steps, -1, batch)
-                g = np.matmul(d, cols.transpose(0, 2, 1)).sum(axis=0)
+                g = np.matmul(d, self.columns[l].transpose(0, 2, 1)).sum(axis=0)
             out.append(g.reshape(spec.weight_shape) / batch)
         return out
 
@@ -381,13 +371,14 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
     membrane record that the LIF recurrence then overwrites step by step.  A
     conv layer, and a dense layer whose input is stored examples-last, store
     their records examples-last: the current is one W @ cols batched over T,
-    where cols is a conv layer's im2col of its input and a dense layer's
-    input itself, (T, fan_in, P*B).  Other dense layers form it as one GEMM
+    where cols, (T, fan_in, P*B), is a conv layer's im2col of its input and a
+    dense layer's input view.  Other dense layers form it as one GEMM
     over the B*T input rows.  The LIF loop is the engine's one recurrence:
     decay, integrate, fire at >= theta, subtract the reset, in place on a
     state held in the record's memory order; smooth=True only swaps the hard
     threshold for soft_spike.  Returns the spikes and post-reset membranes,
-    (B, T, *output_shape) each, and a conv layer's columns (None for dense).
+    (B, T, *output_shape) each, and the cols (None for a dense layer stored
+    examples-first).
     """
     b, t_steps = inputs.shape[:2]
     cols = None
@@ -397,12 +388,10 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
                   out=u_rec.reshape(b * t_steps, -1))
     else:
         x = np.moveaxis(inputs.reshape((b, t_steps) + spec.input_shape), 0, -1)
-        if spec.kind == "dense":
-            x_cols = x.reshape(t_steps, -1, b)
-        else:
-            x_cols = cols = im2col(x, spec.kernel_size, spec.stride, spec.padding)
+        cols = x.reshape(t_steps, -1, b) if spec.kind == "dense" \
+            else im2col(x, spec.kernel_size, spec.stride, spec.padding)
         u_store = np.empty((t_steps,) + spec.output_shape + (b,), dtype=w.dtype)
-        np.matmul(w.reshape(w.shape[0], -1), x_cols,
+        np.matmul(w.reshape(w.shape[0], -1), cols,
                   out=u_store.reshape(t_steps, w.shape[0], -1))
         u_rec = np.moveaxis(u_store, -1, 0)
     o_rec = np.empty_like(u_rec)
@@ -511,10 +500,10 @@ def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,
 
     Errors are d(per-example loss)/d(pre-reset membrane); the hard spike
     derivative is replaced by the triangular surrogate.  The returned trace
-    holds the errors and references to the input spikes and conv columns,
+    holds the errors and references to the input spikes and kept columns,
     which is all the batch gradient and the spike-aware score need.
     """
-    batch, t_steps = trace.batch_size, trace.time_steps
+    batch, t_steps = trace.spikes[0].shape[:2]
     n_layers = len(net)
     onehot = np.zeros_like(loss.probs)
     onehot[np.arange(batch), loss.labels] = 1.0

@@ -57,7 +57,7 @@ class TrainConfig:
 def sgd_step(weights: list[Array], grads: list[Array], buffers: list[Array],
              lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
     """In-place SGD with momentum and weight decay on weights and buffers."""
-    for w, g, buf in zip(weights, grads, buffers):
+    for w, g, buf in zip(weights, grads, buffers, strict=True):
         if w.shape != g.shape:
             raise ValueError("gradient shape mismatch")
         if not np.all(np.isfinite(g)):
@@ -82,7 +82,9 @@ ENGINE_DTYPE = np.float32  # the dtype training runs the engine in
 
 def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
     """Classification accuracy on a pre-encoded dataset, in net's dtype: the
-    argmax of forward's logits, EVAL_BATCH examples at a time."""
+    argmax of forward's logits, EVAL_BATCH examples at a time, once the whole
+    dataset passes `check_data`."""
+    check_data(net, handle.data, handle.labels, cfg, "dataset")
     correct = 0
     for start in range(0, handle.n, EVAL_BATCH):
         labels = handle.labels[start:start + EVAL_BATCH]

@@ -152,11 +152,11 @@ def check_bptt_correctness(seed: int = 0) -> tuple[bool, str]:
     err = oracle.fd_gradient_check(net, data, labels, cfg, trials=100, seed=11)
 
     znet = Network.from_arch("dense:16,dense:4", (24,), seed=1)
-    _, _, bt = oracle.per_example_gradients(
-        znet, np.zeros((4, 3, 24)), np.zeros(4, dtype=int),
-        NeuronConfig(decay=0.5, time_steps=3))
-    zero_ok = len(bt.per_example_grads) == len(znet) and all(
-        float(np.abs(g).max()) == 0.0 for g in bt.per_example_grads)
+    zcfg = NeuronConfig(decay=0.5, time_steps=3)
+    ztrace = forward(znet, np.zeros((4, 3, 24)), np.zeros(4, dtype=int), zcfg)
+    grads = oracle.per_example_gradients(backward_bptt(znet, *ztrace, zcfg))
+    zero_ok = len(grads) == len(znet) and all(
+        float(np.abs(g).max()) == 0.0 for g in grads)
     return (err <= 1e-4 and zero_ok,
             f"finite-difference max rel err {err:.1e} over 100 params, "
             f"zero-spike gradients {'exactly zero' if zero_ok else 'NONZERO'}")
@@ -196,13 +196,13 @@ def check_weighted_gradient(seed: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(106 + seed)
     ok, silent, parts = True, 0, []
     for name, net, data, labels, cfg in _gradient_cases(rng):
-        _, _, bt = oracle.per_example_gradients(net, data, labels, cfg)
+        bt = backward_bptt(net, *forward(net, data, labels, cfg), cfg)
         w = rng.uniform(0.1, 5.0, 16)
-        fused = bt.weight_grads(w)
-        ok &= len(bt.per_example_grads) == len(fused) == len(net)
+        fused, pers = bt.weight_grads(w), oracle.per_example_gradients(bt)
+        ok &= len(pers) == len(fused) == len(net)
         live = np.zeros(16, dtype=bool)
         worst = 0.0
-        for g, per in zip(fused, bt.per_example_grads):
+        for g, per in zip(fused, pers):
             live |= per.reshape(16, -1).any(axis=1)
             ref = np.tensordot(w, per, axes=(0, 0)) / w.size
             scale = float(np.abs(ref).max())
@@ -225,8 +225,8 @@ def check_exact_norms(seed: int = 0) -> tuple[bool, str]:
     ok, zero_ok, parts = True, True, []
     for name, net, data, labels, cfg in _gradient_cases(rng):
         rep = oracle.exact_grad_norms(net, data, labels, cfg, (0,))
-        grads = oracle.per_example_gradients(net, data, labels,
-                                             cfg)[2].per_example_grads
+        grads = oracle.per_example_gradients(
+            backward_bptt(net, *forward(net, data, labels, cfg), cfg))
         sq = [(g.reshape(16, -1) ** 2).sum(axis=1) for g in grads]
         worst = 0.0
         for got, ref in ((rep.full_norms, np.sqrt(sum(sq))),
@@ -260,13 +260,15 @@ def check_float32_agreement(seed: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(108 + seed)
     n, ok, parts = 256, True, []
     for name, net, data, labels, cfg in _gradient_cases(rng, n):
-        ref_trace, _, ref = oracle.per_example_gradients(net, data, labels, cfg)
+        ref_trace, ref_loss = forward(net, data, labels, cfg)
+        ref = oracle.per_example_gradients(
+            backward_bptt(net, ref_trace, ref_loss, cfg))
         w = rng.uniform(0.1, 5.0, n)
         engine = net.astype(ENGINE_DTYPE)
         trace, loss = forward(engine, data, labels, cfg)
         grads = backward_bptt(engine, trace, loss, cfg).weight_grads(w)
         worst = 0.0
-        for g, per in zip(grads, ref.per_example_grads):
+        for g, per in zip(grads, ref):
             want = np.tensordot(w, per, axes=(0, 0)) / n
             scale = float(np.abs(want).max())
             ok &= scale > 0.0 and g.dtype == ENGINE_DTYPE
@@ -374,7 +376,8 @@ def check_correlation_ordering(seed: int = 0) -> tuple[bool, str]:
                            schedule="constant", seed_sample=s + 100,
                            seed_shuffle=s + 200)
         run_training(net, train, None, cfg, None, tcfg)
-        rep = oracle.measure_correlations(net, train.data, train.labels, cfg)
+        rep = oracle.exact_grad_norms(net, train.data, train.labels, cfg,
+                                      tuple(range(len(net)))).correlations()
         wins += rep.score_vs_norm > rep.loss_vs_norm
         parts.append(f"seed {s}: {rep.score_vs_norm:.3f} vs {rep.loss_vs_norm:.3f}")
     return wins == 3, f"{wins}/3 seeds ({', '.join(parts)})"

@@ -22,10 +22,13 @@ the name.
 """
 
 import logging
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import sadp
 from sadp import cli, oracle, training
 from sadp.config import parse_config
 from sadp.data import (METRICS_HEADER, DatasetHandle, gen_synthetic,
@@ -54,6 +57,19 @@ def test_measure_correlations_takes_net_data_labels_config():
     net, data, labels, cfg = small_batch()
     corr = oracle.measure_correlations(net, data, labels, cfg)
     assert -1.0 <= corr.score_vs_norm <= 1.0
+
+
+def test_benchmark_only_names_have_no_reader_in_sadp():
+    """Outside their own definitions, no sadp module mentions
+    `per_example_grads` or `measure_correlations`: they stay only for the
+    benchmark, so deleting them with its pins breaks nothing else."""
+    definitions = re.compile(r"^\s*(per_example_grads: |def measure_correlations\()")
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(pathlib.Path(sadp.__file__).parent.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\b(per_example_grads|measure_correlations)\b", line)
+             and not definitions.match(line)]
+    assert found == []
 
 
 def test_neuron_config_and_evaluate_take_positional_arguments():

@@ -22,7 +22,7 @@ from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
 from sadp.data import (METRICS_HEADER, DatasetHandle, read_spike_file,
                        write_spike_file)
 from sadp.pruning import smooth_probabilities, spike_aware_score
-from sadp.snn import Network
+from sadp.snn import Network, backward_bptt, forward
 
 
 def write_config(tmp_path, text):
@@ -393,6 +393,18 @@ class TestGenDataCommand:
         assert main(["gen-data"]) == EXIT_USAGE
         assert main(["gen-data", "-o", f"dataset.path={tmp_path}/x.spkt"]) == EXIT_USAGE
 
+    def test_data_draws_do_not_share_the_weight_stream(self):
+        """seed.init seeds the weights and, through a stream of its own, the
+        data: layer 0's weight signs do not follow the prototype bits, as
+        they would if both drew from default_rng(seed.init)."""
+        cfg = parse_config(None, ["dataset.synthetic.n=200",
+                                  "dataset.synthetic.dim=64",
+                                  "net.arch=dense:64,dense:10"])
+        train, _ = load_dataset(cfg)
+        w0 = cli.build_network(cfg, train).weights[0].ravel()
+        bits = train.prototypes.ravel()[:w0.size] == 1.0
+        assert float(np.mean((w0 < 0) == bits)) < 0.6
+
 
 class TestAnalyzeCommand:
     @staticmethod
@@ -420,7 +432,8 @@ class TestAnalyzeCommand:
     def test_float64_weights_and_float64_analyze(self, tmp_path, capsys):
         """train runs a float32 engine but writes float64 weights; analyze
         runs the float64 engine, so its report at seed 0 on the initial
-        weights is byte for byte what the all-float64 engine wrote."""
+        weights is byte for byte the float64 one; a float32 analyze of the
+        same weights differs in the variance rows."""
         common = self.common_args(tmp_path)
         assert main(["train"] + common) == EXIT_OK
         with np.load(tmp_path / "w.npz") as z:
@@ -430,12 +443,12 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert (tmp_path / "r.txt").read_text() == (
             "examples: 64\n"
-            "pearson(spike_aware_score, grad_norm) = 0.983475\n"
-            "pearson(loss, grad_norm) = 0.158406\n"
+            "pearson(spike_aware_score, grad_norm) = 0.984844\n"
+            "pearson(loss, grad_norm) = -0.094186\n"
             "method,variance\n"
-            "spike_aware,0.003053987489\n"
-            "loss,0.003645881058\n"
-            "uniform,0.003653098484\n")
+            "spike_aware,0.00612945335\n"
+            "loss,0.007700361786\n"
+            "uniform,0.007601730176\n")
 
     def test_one_pass_without_per_example_gradients(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -469,10 +482,10 @@ class TestAnalyzeCommand:
         train, _ = load_dataset(cfg)
         net = load_weights(str(tmp_path / "w.npz"))
         ncfg = neuron_config(cfg, train.time_steps)
-        _, _, bt = oracle.per_example_gradients(net, train.data,
-                                                train.labels, ncfg)
+        bt = backward_bptt(net, *forward(net, train.data, train.labels, ncfg),
+                           ncfg)
         norms = np.sqrt(sum((g.reshape(train.n, -1) ** 2).sum(axis=1)
-                            for g in bt.per_example_grads))
+                            for g in oracle.per_example_gradients(bt)))
         all_scores = spike_aware_score(bt, (0, 1))
         expected = oracle.pearson(all_scores, norms)
         assert lines[1] == f"pearson(spike_aware_score, grad_norm) = {expected:.6f}"

@@ -8,12 +8,11 @@ import pytest
 from sadp import oracle
 from sadp.oracle import (GradNormReport, InfiniteVarianceError,
                          UndefinedCorrelationError, estimator_stats,
-                         exact_grad_norms, fd_gradient_check,
-                         measure_correlations, pearson, per_example_gradients,
-                         project_to_capped_simplex, solve_probabilities_sorted,
-                         variance_formula)
+                         exact_grad_norms, fd_gradient_check, pearson,
+                         per_example_gradients, project_to_capped_simplex,
+                         solve_probabilities_sorted, variance_formula)
 from sadp.pruning import solve_probabilities
-from sadp.snn import NeuronConfig, Network, forward
+from sadp.snn import NeuronConfig, Network, backward_bptt, forward
 from sadp.verify import random_score_instance
 
 
@@ -29,7 +28,8 @@ class TestExactNorms:
         cfg = NeuronConfig(decay=0.5, time_steps=1)
         x, y = spike_batch(3, 1, 6, 4, 0)
         rep = exact_grad_norms(net, x, y, cfg, (0,))
-        grads = per_example_gradients(net, x, y, cfg)[2].per_example_grads
+        grads = per_example_gradients(backward_bptt(net, *forward(net, x, y, cfg),
+                                                     cfg))
         manual = np.linalg.norm(grads[0].reshape(3, -1), axis=1)
         np.testing.assert_allclose(rep.full_norms, manual, atol=1e-12)
         # For one dense layer at T=1 the spike-aware bound is exact.
@@ -290,7 +290,8 @@ class TestEstimatorStats:
         net = Network.from_arch("dense:5,dense:2", (6,), seed=7)
         cfg = NeuronConfig(decay=0.5, time_steps=2)
         x, y = spike_batch(16, 2, 6, 2, 8)
-        grads = per_example_gradients(net, x, y, cfg)[2].per_example_grads
+        grads = per_example_gradients(backward_bptt(net, *forward(net, x, y, cfg),
+                                                     cfg))
         norms = np.sqrt(sum((g.reshape(16, -1) ** 2).sum(axis=1) for g in grads))
         p = np.clip(solve_probabilities(norms + 1e-9, 8).probabilities, 1e-9, 1)
         analytic = variance_formula(norms, p, 16)
@@ -368,7 +369,7 @@ class TestMeasureCorrelations:
         net = Network.from_arch("dense:10,dense:4", (12,), seed=13)
         cfg = NeuronConfig(decay=0.3, time_steps=4)
         x, y = spike_batch(64, 4, 12, 4, 14)
-        rep = measure_correlations(net, x, y, cfg)
+        rep = exact_grad_norms(net, x, y, cfg, (0, 1)).correlations()
         assert -1.0 <= rep.score_vs_norm <= 1.0
         assert -1.0 <= rep.loss_vs_norm <= 1.0
         assert rep.sample_size == 64

@@ -41,7 +41,8 @@ class TestSpikeAwareScore:
         net = Network.from_arch("dense:6,dense:4", (5,), seed=1)
         cfg = NeuronConfig(decay=0.5, time_steps=2)
         x = (rng.random((8, 2, 5)) < 0.6).astype(float)
-        trace, _, bt = per_example_gradients(net, x, rng.integers(0, 4, 8), cfg)
+        trace, loss = forward(net, x, rng.integers(0, 4, 8), cfg)
+        bt = backward_bptt(net, trace, loss, cfg)
         g = spike_aware_score(bt, (0, 1))
         expected = np.zeros(8)
         for l in (0, 1):
@@ -49,9 +50,9 @@ class TestSpikeAwareScore:
                 expected += (np.linalg.norm(bt.errors[l][:, t], axis=1)
                              * np.linalg.norm(trace.spikes[l][:, t], axis=1))
         np.testing.assert_allclose(g, expected, atol=1e-12)
-        assert len(bt.per_example_grads) == len(net)
-        exact = np.sqrt(sum((gr.reshape(8, -1) ** 2).sum(axis=1)
-                            for gr in bt.per_example_grads))
+        grads = per_example_gradients(bt)
+        assert len(grads) == len(net)
+        exact = np.sqrt(sum((gr.reshape(8, -1) ** 2).sum(axis=1) for gr in grads))
         assert np.all(g >= exact - 1e-9)
 
     def test_real_valued_inputs_match_elementwise_norms(self):
@@ -72,14 +73,15 @@ class TestSpikeAwareScore:
                                 init_scale=2.0)
         cfg = NeuronConfig(decay=0.5, surrogate_width=2.0, time_steps=2)
         x = (rng.random((16, 2, 1, 6, 6)) < 0.5).astype(float)
-        trace, _, bt = per_example_gradients(net, x, rng.integers(0, 4, 16), cfg)
+        trace, loss = forward(net, x, rng.integers(0, 4, 16), cfg)
+        bt = backward_bptt(net, trace, loss, cfg)
         g = spike_aware_score(bt, (0,))
         plain = (np.linalg.norm(bt.errors[0].reshape(16, 2, -1), axis=2)
                  * np.linalg.norm(trace.spikes[0].reshape(16, 2, -1), axis=2)
                  ).sum(axis=1)
         np.testing.assert_allclose(g, np.sqrt(patch_count(net.specs[0])) * plain,
                                    rtol=1e-12)
-        exact = np.linalg.norm(bt.per_example_grads[0].reshape(16, -1), axis=1)
+        exact = np.linalg.norm(per_example_gradients(bt)[0].reshape(16, -1), axis=1)
         assert exact.any()
         assert np.all(g >= exact - 1e-9)
 

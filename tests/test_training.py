@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sadp import pruning, training
+from sadp import oracle, pruning, training
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
-from sadp.snn import BackwardTrace, NeuronConfig, Network, backward_bptt, forward
+from sadp.snn import BackwardTrace, NeuronConfig, Network, forward
 from sadp.data import DatasetHandle
 from sadp.pruning import ConfigError
 from sadp.snn import ShapeError
@@ -54,6 +54,12 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1)
+
+    def test_layer_count_mismatch_raises(self):
+        """A gradient list shorter than the weights raises instead of leaving
+        the trailing layers untouched."""
+        with pytest.raises(ValueError):
+            sgd_step([np.ones(2), np.ones(3)], [np.ones(2)], [np.zeros(2)], 0.1)
 
     @pytest.mark.parametrize("kw", [dict(lr=0.0), dict(lr=0.1, momentum=1.0),
                                     dict(lr=0.1, weight_decay=-0.1),
@@ -212,16 +218,15 @@ class TestRunTraining:
         assert last.gamma == 0.0 and last.solver_iters == 0
 
     def test_training_keeps_no_per_example_gradients(self, monkeypatch):
-        traces = []
-
-        def recording(*args, **kwargs):
-            traces.append(backward_bptt(*args, **kwargs))
-            return traces[-1]
-        monkeypatch.setattr("sadp.training.backward_bptt", recording)
+        """Training never reaches the oracle's per-example contractions, the
+        one place that forms per-example gradients."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training formed per-example gradients")
+        monkeypatch.setattr(oracle, "per_example_gradients", forbidden)
+        monkeypatch.setattr(oracle, "_conv_example_grads", forbidden)
         net, train, test, ncfg = small_problem()
         pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, smoothing_constant=0.3)
-        run_training(net, train, test, ncfg, pcfg, train_cfg(2))
-        assert traces and all(bt.per_example_grads == [] for bt in traces)
+        assert len(run_training(net, train, test, ncfg, pcfg, train_cfg(2))) == 2
 
     def test_float32_engine_on_float64_master_weights(self, monkeypatch):
         """Each step runs forward, backward and evaluate on a float32 copy;
@@ -315,6 +320,11 @@ class TestRunTraining:
         net, train, test, ncfg = small_problem()
         acc = evaluate(net, test, ncfg)
         assert 0.0 <= acc <= 1.0
+
+    def test_evaluate_rejects_an_empty_dataset(self):
+        net, _, test, ncfg = small_problem()
+        with pytest.raises(ValueError, match="^dataset has no example"):
+            evaluate(net, _subset(test, rows=slice(0, 0)), ncfg)
 
 
 def _subset(handle, data=None, labels=None, rows=slice(None)):
