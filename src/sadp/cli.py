@@ -195,7 +195,6 @@ def load_weights(path: str) -> Network:
 def _prune_config(cfg: dict, n_layers: int) -> PruneConfig:
     return PruneConfig(ratio=cfg["prune.ratio"], max_ratio=cfg["prune.max_ratio"],
                        smoothing_constant=cfg["prune.beta"],
-                       seed=cfg["seed.sample"],
                        exact_average=cfg["prune.exact_average"],
                        score=cfg["prune.score"],
                        score_layers=parse_score_layers(cfg["score.layers"],

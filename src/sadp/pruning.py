@@ -43,7 +43,6 @@ class PruneConfig:
     ratio: float
     max_ratio: float
     smoothing_constant: float = 0.0
-    seed: int = 0
     exact_average: bool = False
     score: str = "spike_aware"
     score_layers: tuple[int, ...] | None = None
@@ -284,9 +283,9 @@ class Selection:
 def select(k: int, epochs: int, scores: Array, cfg: PruneConfig,
            sample_seed: int, shuffle_seed: int) -> Selection:
     """Epoch k's selection: r_k, p at S = target_size(r_k, N), the examples
-    drawn with seed (cfg.seed, sample_seed, k) -- at S = 0 or N, p fixes
-    them and nothing is drawn -- and their S/(N*p) weights, shuffled with
-    seed (shuffle_seed, k)."""
+    drawn with seed (0, sample_seed, k) -- at S = 0 or N, p fixes them and
+    nothing is drawn -- and their S/(N*p) weights, shuffled with seed
+    (shuffle_seed, k)."""
     n = len(scores)
     ratio = schedule_ratio(k, epochs, cfg)
     target = target_size(ratio, n)
@@ -295,7 +294,7 @@ def select(k: int, epochs: int, scores: Array, cfg: PruneConfig,
     if target in (0, n):
         selected = np.arange(target)  # none or every example
     else:
-        selected = np.flatnonzero(sample_mask(assignment, [cfg.seed, sample_seed, k]))
+        selected = np.flatnonzero(sample_mask(assignment, [0, sample_seed, k]))
     weights = loss_weights(assignment, selected, target)
     order = np.random.default_rng([shuffle_seed, k]).permutation(selected.size)
     return Selection(ratio, assignment, selected[order], weights[order])

@@ -3,7 +3,7 @@ score refresh and evaluation.
 
 Training follows the mixed-precision recipe: the network passed in holds the
 float64 master weights, which `sgd_step` updates with float64 momentum, and
-each step runs the engine on a float32 copy of them (ENGINE_DTYPE)."""
+the engine runs on one float32 copy of them (ENGINE_DTYPE) per update."""
 
 from __future__ import annotations
 
@@ -56,12 +56,15 @@ class TrainConfig:
 
 def sgd_step(weights: list[Array], grads: list[Array], buffers: list[Array],
              lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-    """In-place SGD with momentum and weight decay on weights and buffers."""
-    for w, g, buf in zip(weights, grads, buffers, strict=True):
-        if w.shape != g.shape:
+    """In-place SGD with momentum and weight decay on weights and buffers,
+    whole or nothing: every layer is checked before the first is updated."""
+    layers = list(zip(weights, grads, buffers, strict=True))
+    for w, g, buf in layers:
+        if not w.shape == g.shape == buf.shape:
             raise ValueError("gradient shape mismatch")
         if not np.all(np.isfinite(g)):
             raise NumericDivergenceError("non-finite gradient")
+    for w, g, buf in layers:
         buf *= momentum
         buf += g
         if weight_decay:
@@ -101,8 +104,10 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
     Train and test pass `check_data`, and pcfg's score layers
     `resolve_score_layers`, before any weight changes.  Each epoch runs
     weighted mini-batch SGD on the examples and loss weights `pruning.select`
-    draws from the (stale) scores, on an ENGINE_DTYPE copy of net; sgd_step
-    updates net and the run's float64 momentum buffers.  Unless the score kind
+    draws from the (stale) scores; sgd_step updates net and the run's float64
+    momentum buffers.  The ENGINE_DTYPE copy of net that the steps and
+    evaluate run on is made before epoch 1 and after each update; an update
+    past float32's range raises NumericDivergenceError.  Unless the score kind
     is uniform, each trained example's score is refreshed from its backward
     pass.  An epoch that selects nothing writes a row of NaN loss and accuracy.
     """
@@ -114,6 +119,7 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
     buffers = [np.zeros_like(w) for w in net.weights]
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
     scores = np.ones(train.n)
+    engine = net.astype(ENGINE_DTYPE)
     metrics: list[MetricsRow] = []
 
     for k in range(1, cfg.epochs + 1):
@@ -127,14 +133,17 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
         for start in range(0, sel.indices.size, b):
             idx = sel.indices[start:start + b]
             w_batch = sel.weights[start:start + b]
-            engine = net.astype(ENGINE_DTYPE)
             trace, lo = forward(engine, train.data[idx], train.labels[idx], ncfg)
-            if not np.all(np.isfinite(lo.per_example_loss)):
-                raise NumericDivergenceError(f"non-finite loss in epoch {k}")
             btrace = backward_bptt(engine, trace, lo, ncfg)
             grads = btrace.weight_grads(example_weights=w_batch)
             sgd_step(net.weights, grads, buffers, lr, cfg.momentum,
                      cfg.weight_decay)
+            try:
+                with np.errstate(over="ignore"):  # the copy's check reports it
+                    engine = net.astype(ENGINE_DTYPE)
+            except ValueError as exc:
+                raise NumericDivergenceError(f"an update in epoch {k} took a "
+                                             "weight past float32's range") from exc
             if pcfg.score == "spike_aware":
                 scores[idx] = spike_aware_score(btrace, score_layers)
             elif pcfg.score == "loss":
@@ -144,8 +153,7 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
         processed = int(sel.indices.size)
         if processed:
             train_loss = loss_sum / processed
-            test_acc = evaluate(net.astype(ENGINE_DTYPE), test, ncfg) \
-                if test is not None else math.nan
+            test_acc = evaluate(engine, test, ncfg) if test is not None else math.nan
         else:
             logger.warning("epoch %d: no examples selected (r_k=%.3f); skipped",
                            k, sel.ratio)

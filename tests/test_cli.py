@@ -15,8 +15,9 @@ import pytest
 
 import sadp
 from sadp import cli, oracle, verify
-from sadp.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_dataset,
-                      load_weights, main, neuron_config, save_weights)
+from sadp.cli import (EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE,
+                      load_dataset, load_weights, main, neuron_config,
+                      save_weights)
 from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
 from sadp.data import (METRICS_HEADER, DatasetHandle, read_spike_file,
@@ -254,6 +255,141 @@ class TestTrainCommand:
         assert err == [f"error: cannot read dataset {path}: {extra} trailing "
                        f"byte(s) after the {kind.upper()} "
                        f"{'label block' if kind == 'spkt' else 'payload'}"]
+
+
+    def test_update_past_float32_range_exits_three(self, tmp_path, capsys):
+        """An update that takes a weight past float32's range is divergence:
+        exit 3 with one error line naming the epoch, and no output files."""
+        assert main(["train", "-o", "dataset.synthetic.n=40",
+                     "-o", "train.epochs=2", "-o", "train.lr=1e300",
+                     "-o", "neuron.threshold=0.5",
+                     "-o", f"out.metrics={tmp_path}/m.csv",
+                     "-o", f"out.weights={tmp_path}/w.npz"]) == EXIT_DIVERGED
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged: an update in epoch 1 took a weight "
+            "past float32's range"]
+        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "w.npz").exists()
+
+
+def idx_bytes(dims, payload, rank=None):
+    """An IDX u8 file's bytes, with a header that declares `rank` dims."""
+    rank = len(dims) if rank is None else rank
+    return (bytes([0, 0, 8, rank]) + struct.pack(f">{len(dims)}I", *dims)
+            + bytes(payload))
+
+
+def idx_pair(tmp_path, n=50, side=8, classes=4):
+    """Seeded n x side x side images and their labels, as an IDX pair."""
+    rng = np.random.default_rng(3)
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(idx_bytes((n, side, side), rng.integers(
+        0, 256, n * side * side, dtype=np.uint8)))
+    labels.write_bytes(idx_bytes((n,), (np.arange(n) % classes).astype(np.uint8)))
+    return f"{images}:{labels}"
+
+
+class TestIdxDataset:
+    """Static IDX images, encoded per encode.mode over dataset.synthetic.t
+    steps, through the same 80/20 split as SPKT data."""
+
+    @pytest.mark.parametrize("mode", ["direct", "rate"])
+    def test_load_encodes_each_image_over_t_steps(self, tmp_path, mode):
+        path = idx_pair(tmp_path)
+        cfg = parse_config(None, [f"dataset.path={path}", f"encode.mode={mode}",
+                                  "dataset.synthetic.t=3"])
+        train, test = load_dataset(cfg)
+        assert (train.n, test.n, train.time_steps) == (40, 10, 3)
+        assert train.input_shape == test.input_shape == (8, 8)
+        np.testing.assert_array_equal(
+            np.concatenate([train.labels, test.labels]), np.arange(50) % 4)
+        data = np.concatenate([train.data, test.data])
+        pixels = np.frombuffer((tmp_path / "images.idx").read_bytes()[16:],
+                               dtype=np.uint8).reshape(50, 1, 8, 8) / 255.0
+        if mode == "direct":
+            np.testing.assert_array_equal(data, np.repeat(pixels, 3, axis=1))
+        else:
+            assert set(np.unique(data)) == {0.0, 1.0}
+            again = np.concatenate([h.data for h in load_dataset(cfg)])
+            np.testing.assert_array_equal(data, again)  # seeded by seed.init
+            assert abs(data.mean() - pixels.mean()) < 0.02
+
+    @pytest.mark.parametrize("arch", ["dense:12,dense:4", "conv:4x3x3p1,dense:4"])
+    @pytest.mark.parametrize("mode", ["direct", "rate"])
+    def test_train_runs(self, tmp_path, capsys, mode, arch):
+        args = ["train", "-o", f"dataset.path={idx_pair(tmp_path)}",
+                "-o", f"encode.mode={mode}", "-o", f"net.arch={arch}",
+                "-o", "dataset.synthetic.t=3", "-o", "train.epochs=2",
+                "-o", "train.batch=16", "-o", "neuron.threshold=0.5",
+                "-o", f"out.metrics={tmp_path}/m.csv",
+                "-o", f"out.weights={tmp_path}/w.npz"]
+        assert main(args) == EXIT_OK
+        rows = (tmp_path / "m.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["40", "40"]
+        net = load_weights(str(tmp_path / "w.npz"))
+        assert net.specs[0].input_shape == ((8, 8) if arch.startswith("dense")
+                                            else (1, 8, 8))
+
+
+def spkt_bytes(version=1, dtype=0, dims=(5, 2, 4), payload=None, labels=5):
+    """An SPKT file's bytes; payload defaults to dims' zeros."""
+    count = int(np.prod(dims))
+    payload = bytes(count) if payload is None else payload
+    return (b"SPKT" + struct.pack("<HBB", version, dtype, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload
+            + struct.pack(f"<{labels}I", *range(labels)))
+
+
+class TestInputErrors:
+    """Every malformed setting or dataset file exits 2 with one error line."""
+
+    # case: (reason, the images or SPKT file, the labels file or None)
+    DATASET = {
+        "idx-bad-magic": ("bad IDX magic", bytes([1, 0, 8, 2]) + bytes(28),
+                          idx_bytes((5,), bytes(5))),
+        "idx-truncated-dims": ("truncated IDX dimension block",
+                               idx_bytes((5,), b"", rank=2),
+                               idx_bytes((5,), bytes(5))),
+        "idx-label-count": ("label file does not match image count",
+                            idx_bytes((5, 4), bytes(20)),
+                            idx_bytes((4,), bytes(4))),
+        "spkt-version": ("unsupported SPKT version 2", spkt_bytes(version=2),
+                         None),
+        "spkt-dtype": ("unsupported SPKT dtype 1", spkt_bytes(dtype=1), None),
+        "spkt-truncated-payload": ("truncated SPKT payload",
+                                   spkt_bytes(payload=bytes(10), labels=0), None),
+        "spkt-payload-byte-2": ("SPKT payload bytes must be 0 or 1",
+                                spkt_bytes(payload=bytes(39) + b"\x02"), None),
+        "spkt-truncated-labels": ("truncated SPKT label block",
+                                  spkt_bytes(labels=4), None),
+    }
+
+    @pytest.mark.parametrize("case", list(DATASET))
+    def test_malformed_dataset_file(self, tmp_path, capsys, case):
+        reason, data, labels = self.DATASET[case]
+        path = tmp_path / "data"
+        path.write_bytes(data)
+        if labels is not None:
+            (tmp_path / "labels").write_bytes(labels)
+            path = f"{path}:{tmp_path / 'labels'}"
+        assert main(["train", "-o", f"dataset.path={path}",
+                     "-o", f"out.metrics={tmp_path}/m.csv",
+                     "-o", f"out.weights={tmp_path}/w.npz"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read dataset {path}: {reason}"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["-o", "prune.enabled=maybe"], "cannot parse boolean value 'maybe'"),
+        (["-o", "train.epochs"], "override must be key=value, got 'train.epochs'"),
+        (["-o", "encode.mode=poisson"], "encode.mode must be direct or rate"),
+        (["-c", "{cfg}"], "{cfg}:2: expected key=value")],
+        ids=["bad-boolean", "override-without-equals", "encode-mode",
+             "config-line-without-equals"])
+    def test_malformed_setting(self, tmp_path, capsys, args, message):
+        cfg = write_config(tmp_path, "train.epochs = 2\ntrain.batch 16\n")
+        assert main(["train", *(a.format(cfg=cfg) for a in args)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {message.format(cfg=cfg)}"]
 
 
 class TestAllocator:

@@ -61,6 +61,27 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step([np.ones(2), np.ones(3)], [np.ones(2)], [np.zeros(2)], 0.1)
 
+    @pytest.mark.parametrize("case", ["short-lists", "nan-in-layer-2",
+                                      "buffer-shape"])
+    def test_rejected_step_changes_nothing(self, case):
+        """Every layer is checked before the first update, so a step that
+        raises leaves every weight and buffer as it was."""
+        weights = [np.ones(2), np.ones(3)]
+        grads, buffers = [np.ones(2), np.ones(3)], [np.zeros(2), np.zeros(3)]
+        error = ValueError
+        if case == "short-lists":
+            grads, buffers = grads[:1], buffers[:1]
+        elif case == "nan-in-layer-2":
+            grads[1][1], error = np.nan, NumericDivergenceError
+        else:
+            buffers[1] = np.zeros(2)
+        with pytest.raises(error):
+            sgd_step(weights, grads, buffers, 0.1, momentum=0.9)
+        for w in weights:
+            np.testing.assert_array_equal(w, 1.0)
+        for buf in buffers:
+            np.testing.assert_array_equal(buf, 0.0)
+
     @pytest.mark.parametrize("kw", [dict(lr=0.0), dict(lr=0.1, momentum=1.0),
                                     dict(lr=0.1, weight_decay=-0.1),
                                     dict(lr=0.1, schedule="step"),
@@ -262,6 +283,52 @@ class TestRunTraining:
             assert w.dtype == buf.dtype == np.float64
             assert np.any(w != w.astype(np.float32))
             assert np.any(buf != buf.astype(np.float32))
+
+    def test_one_engine_copy_per_update(self, monkeypatch):
+        """The float32 copy is made once before epoch 1 and once after each
+        update; the next step and the epoch's evaluate read that copy."""
+        copies, steps, evaluated = [], [], []
+        astype = Network.astype
+
+        def counted_astype(net, dtype):
+            copies.append(np.dtype(dtype))
+            return astype(net, dtype)
+
+        def sgd_spy(weights, *args):
+            steps.append(1)
+            return sgd_step(weights, *args)
+
+        def evaluate_spy(engine, *args):
+            evaluated.append([a.copy() for a in engine.weights])
+            return evaluate(engine, *args)
+        monkeypatch.setattr(Network, "astype", counted_astype)
+        monkeypatch.setattr("sadp.training.sgd_step", sgd_spy)
+        monkeypatch.setattr("sadp.training.evaluate", evaluate_spy)
+        net, train, test, ncfg = small_problem()
+        run_training(net, train, test, ncfg, None, train_cfg(2))
+        assert len(steps) == 6 and len(evaluated) == 2
+        assert copies == [np.dtype(np.float32)] * (1 + len(steps))
+        for a, w in zip(evaluated[-1], net.weights):
+            np.testing.assert_array_equal(a, w.astype(np.float32))
+
+    @pytest.mark.parametrize("arch", ["dense:12,dense:4", "conv:2x3x3p1,dense:4"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_is_bounded_for_any_input(self, arch, dtype):
+        """Logits are mean spike counts in [0, 1] and a NaN membrane fires
+        nothing, so each per-example loss is finite and at most 1 + ln C,
+        also for data that holds NaN and +-inf: no loss check can fire."""
+        net = Network.from_arch(arch, (4, 4), seed=0, init_scale=3.0).astype(dtype)
+        ncfg = NeuronConfig(decay=0.1, threshold=0.5, time_steps=4)
+        data = np.random.default_rng(0).normal(size=(32, 4, 4, 4))
+        data[0::4, 1, 0] = np.nan
+        data[1::4, :, 2, 1] = np.inf
+        data[2::4, 2, 3, 3] = -np.inf
+        data[3::4, :, 1] = [np.nan, np.inf, -np.inf, 1e30]
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, lo = forward(net, data, np.arange(32) % 4, ncfg)
+        assert lo.logits.max() > 0.0  # the net spikes
+        assert np.all(np.isfinite(lo.per_example_loss))
+        assert lo.per_example_loss.max() <= 1.0 + math.log(4)
 
     def test_processed_counts_track_schedule(self):
         net, train, test, ncfg = small_problem(n=256)
