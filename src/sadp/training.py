@@ -3,7 +3,10 @@ score refresh and evaluation.
 
 Training follows the mixed-precision recipe: the network passed in holds the
 float64 master weights, which `sgd_step` updates with float64 momentum, and
-the engine runs on one float32 copy of them (ENGINE_DTYPE) per update."""
+the engine runs on one float32 copy of them (ENGINE_DTYPE) per update.  The
+master copy pays: late in a 30-epoch cosine schedule up to 5.8% of the nonzero
+updates per epoch are below half a float32 ulp of their weight, and would
+round away (BENCH_float32_only.json)."""
 
 from __future__ import annotations
 
@@ -56,20 +59,26 @@ class TrainConfig:
 
 def sgd_step(weights: list[Array], grads: list[Array], buffers: list[Array],
              lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-    """In-place SGD with momentum and weight decay on weights and buffers,
-    whole or nothing: every layer is checked before the first is updated."""
+    """In-place SGD with momentum and weight decay, whole or nothing: every
+    layer's new buffer and weights are formed and checked finite before any
+    is written."""
     layers = list(zip(weights, grads, buffers, strict=True))
-    for w, g, buf in layers:
-        if not w.shape == g.shape == buf.shape:
-            raise ValueError("gradient shape mismatch")
-        if not np.all(np.isfinite(g)):
-            raise NumericDivergenceError("non-finite gradient")
-    for w, g, buf in layers:
-        buf *= momentum
-        buf += g
-        if weight_decay:
-            buf += weight_decay * w
-        w -= lr * buf
+    if any(not w.shape == g.shape == buf.shape for w, g, buf in layers):
+        raise ValueError("gradient shape mismatch")
+    new = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for w, g, buf in layers:
+            new_buf = momentum * buf
+            new_buf += g
+            if weight_decay:
+                new_buf += weight_decay * w
+            step = lr * new_buf
+            new.append((new_buf, np.subtract(w, step, out=step)))
+    # A non-finite buffer makes its layer's new weights non-finite too.
+    if not all(np.isfinite(new_w).all() for _, new_w in new):
+        raise NumericDivergenceError("non-finite update")
+    for (w, _, buf), (new_buf, new_w) in zip(layers, new):
+        w[...], buf[...] = new_w, new_buf
 
 
 def cosine_lr(k: int, total_epochs: int, base_lr: float) -> float:
@@ -101,20 +110,23 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
                  cfg: TrainConfig) -> list[MetricsRow]:
     """Train for cfg.epochs epochs under pcfg (None: NO_PRUNING).
 
-    Train and test pass `check_data`, and pcfg's score layers
-    `resolve_score_layers`, before any weight changes.  Each epoch runs
-    weighted mini-batch SGD on the examples and loss weights `pruning.select`
-    draws from the (stale) scores; sgd_step updates net and the run's float64
-    momentum buffers.  The ENGINE_DTYPE copy of net that the steps and
-    evaluate run on is made before epoch 1 and after each update; an update
-    past float32's range raises NumericDivergenceError.  Unless the score kind
-    is uniform, each trained example's score is refreshed from its backward
-    pass.  An epoch that selects nothing writes a row of NaN loss and accuracy.
+    Train and test pass `check_data` and hold only finite values, and pcfg's
+    score layers `resolve_score_layers`, before any weight changes.  Each
+    epoch runs weighted mini-batch SGD on the examples and loss weights
+    `pruning.select` draws from the (stale) scores; sgd_step updates net and
+    the run's float64 momentum buffers.  The ENGINE_DTYPE copy of net that
+    the steps and evaluate run on is made before epoch 1 and after each
+    update; an update past float32's range raises NumericDivergenceError.
+    Unless the score kind is uniform, each trained example's score is
+    refreshed from its backward pass.  An epoch that selects nothing writes a
+    row of NaN loss and accuracy.
     """
     pcfg = pcfg or NO_PRUNING
-    check_data(net, train.data, train.labels, ncfg, "train set")
-    if test is not None:
-        check_data(net, test.data, test.labels, ncfg, "test set")
+    for name, handle in (("train set", train), ("test set", test)):
+        if handle is not None:
+            check_data(net, handle.data, handle.labels, ncfg, name)
+            if not np.all(np.isfinite(handle.data)):
+                raise ValueError(f"{name} holds a non-finite value")
     score_layers = resolve_score_layers(pcfg.score_layers, len(net))
     buffers = [np.zeros_like(w) for w in net.weights]
     # Equal scores before the first backward pass: epoch 1 samples uniformly.

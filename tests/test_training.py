@@ -65,19 +65,25 @@ class TestSgdStep:
             np.testing.assert_array_equal(w, 1.0)
         np.testing.assert_array_equal(buffers[0], 0.0)
 
-    @pytest.mark.parametrize("case", ["nan-in-layer-2", "buffer-shape"])
+    @pytest.mark.parametrize("case", ["nan-in-layer-2", "buffer-shape",
+                                      "float32-overflow-in-layer-2"])
     def test_rejected_step_changes_nothing(self, case):
-        """Every layer is checked before the first update, so a step that
-        raises leaves every weight and buffer as it was."""
+        """Every layer's new weights and buffer are formed and checked before
+        the first is written, so a step that raises leaves every weight and
+        buffer as it was."""
         weights = [np.ones(2), np.ones(3)]
         grads, buffers = [np.ones(2), np.ones(3)], [np.zeros(2), np.zeros(3)]
-        error = ValueError
+        error, lr = ValueError, 0.1
         if case == "nan-in-layer-2":
             grads[1][1], error = np.nan, NumericDivergenceError
-        else:
+        elif case == "buffer-shape":
             buffers[1] = np.zeros(2)
+        else:  # 10 * 1e38 is past float32's largest value, 3.4e38
+            weights[1], buffers[1] = np.ones(3, np.float32), np.zeros(3, np.float32)
+            grads[1], lr = np.full(3, 1e38, np.float32), 10.0
+            error = NumericDivergenceError
         with pytest.raises(error):
-            sgd_step(weights, grads, buffers, 0.1, momentum=0.9)
+            sgd_step(weights, grads, buffers, lr, momentum=0.9)
         for w in weights:
             np.testing.assert_array_equal(w, 1.0)
         for buf in buffers:
@@ -416,6 +422,8 @@ class TestChecksBeforeEpochOne:
                                     "T = 4"),
         "empty-test": (ValueError, "test set has no example"),
         "empty-train": (ValueError, "train set has no example"),
+        "nan-in-train": (ValueError, "train set holds a non-finite value"),
+        "inf-in-test": (ValueError, "test set holds a non-finite value"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -433,6 +441,14 @@ class TestChecksBeforeEpochOne:
             test = _subset(test, data=test.data[:, :3])
         elif case == "empty-test":
             test = _subset(test, rows=slice(0))
+        elif case == "nan-in-train":
+            data = train.data.copy()
+            data[5, 0, 0] = np.nan
+            train = _subset(train, data=data)
+        elif case == "inf-in-test":
+            data = test.data.copy()
+            data[-1, -1, -1] = -np.inf
+            test = _subset(test, data=data)
         else:
             train = _subset(train, rows=slice(0))
         epochs = []
