@@ -1,12 +1,12 @@
 """Outer training loop: per-epoch selection (`pruning.select`), weighted SGD,
 score refresh and evaluation.
 
-Training follows the mixed-precision recipe: the network passed in holds the
-float64 master weights, which `sgd_step` updates with float64 momentum, and
-the engine runs on one float32 copy of them (ENGINE_DTYPE) per update.  The
-master copy pays: late in a 30-epoch cosine schedule up to 5.8% of the nonzero
-updates per epoch are below half a float32 ulp of their weight, and would
-round away (BENCH_float32_only.json)."""
+Training follows the mixed-precision recipe: a run steps a private float64
+master copy of the caller's weights, runs the engine on one float32 copy
+(ENGINE_DTYPE) refreshed in place after each update, and writes the caller's
+net once, after the last epoch.  The master copy pays: late in a 30-epoch
+cosine schedule up to 5.8% of the nonzero updates per epoch are below half a
+float32 ulp of their weight, and would round away (BENCH_float32_only.json)."""
 
 from __future__ import annotations
 
@@ -59,26 +59,22 @@ class TrainConfig:
 
 def sgd_step(weights: list[Array], grads: list[Array], buffers: list[Array],
              lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-    """In-place SGD with momentum and weight decay, whole or nothing: every
-    layer's new buffer and weights are formed and checked finite before any
-    is written."""
+    """SGD with momentum and weight decay, in place on weights and buffers.
+    A shape mismatch raises before any write; a non-finite result raises
+    NumericDivergenceError after it, for the caller to discard the arrays."""
     layers = list(zip(weights, grads, buffers, strict=True))
     if any(not w.shape == g.shape == buf.shape for w, g, buf in layers):
         raise ValueError("gradient shape mismatch")
-    new = []
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         for w, g, buf in layers:
-            new_buf = momentum * buf
-            new_buf += g
+            buf *= momentum
+            buf += g
             if weight_decay:
-                new_buf += weight_decay * w
-            step = lr * new_buf
-            new.append((new_buf, np.subtract(w, step, out=step)))
-    # A non-finite buffer makes its layer's new weights non-finite too.
-    if not all(np.isfinite(new_w).all() for _, new_w in new):
+                buf += weight_decay * w
+            w -= lr * buf
+    # A non-finite buffer makes its layer's weights non-finite too.
+    if not all(np.isfinite(w).all() for w in weights):
         raise NumericDivergenceError("non-finite update")
-    for (w, _, buf), (new_buf, new_w) in zip(layers, new):
-        w[...], buf[...] = new_w, new_buf
 
 
 def cosine_lr(k: int, total_epochs: int, base_lr: float) -> float:
@@ -111,12 +107,13 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
     """Train for cfg.epochs epochs under pcfg (None: NO_PRUNING).
 
     Train and test pass `check_data` and hold only finite values, and pcfg's
-    score layers `resolve_score_layers`, before any weight changes.  Each
-    epoch runs weighted mini-batch SGD on the examples and loss weights
-    `pruning.select` draws from the (stale) scores; sgd_step updates net and
-    the run's float64 momentum buffers.  The ENGINE_DTYPE copy of net that
-    the steps and evaluate run on is made before epoch 1 and after each
-    update; an update past float32's range raises NumericDivergenceError.
+    score layers `resolve_score_layers`, before epoch 1.  Each epoch runs
+    weighted mini-batch SGD on the examples and loss weights `pruning.select`
+    draws from the (stale) scores.  sgd_step updates a private copy of net's
+    weights and the momentum in place; the steps and evaluate run on one
+    ENGINE_DTYPE engine refreshed in place after each update, and an update
+    past float32's range raises NumericDivergenceError.  net is written once,
+    after the last epoch, so a run that raises leaves it as it was.
     Unless the score kind is uniform, each trained example's score is
     refreshed from its backward pass.  An epoch that selects nothing writes a
     row of NaN loss and accuracy.
@@ -128,7 +125,8 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             if not np.all(np.isfinite(handle.data)):
                 raise ValueError(f"{name} holds a non-finite value")
     score_layers = resolve_score_layers(pcfg.score_layers, len(net))
-    buffers = [np.zeros_like(w) for w in net.weights]
+    master = [w.copy() for w in net.weights]
+    buffers = [np.zeros_like(w) for w in master]
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
     scores = np.ones(train.n)
     engine = net.astype(ENGINE_DTYPE)
@@ -148,14 +146,13 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             trace, lo = forward(engine, train.data[idx], train.labels[idx], ncfg)
             btrace = backward_bptt(engine, trace, lo, ncfg)
             grads = btrace.weight_grads(example_weights=w_batch)
-            sgd_step(net.weights, grads, buffers, lr, cfg.momentum,
-                     cfg.weight_decay)
-            try:
-                with np.errstate(over="ignore"):  # the copy's check reports it
-                    engine = net.astype(ENGINE_DTYPE)
-            except ValueError as exc:
+            sgd_step(master, grads, buffers, lr, cfg.momentum, cfg.weight_decay)
+            with np.errstate(over="ignore"):  # the check below reports it
+                for e, w in zip(engine.weights, master):
+                    np.copyto(e, w)
+            if not all(np.isfinite(e).all() for e in engine.weights):
                 raise NumericDivergenceError(f"an update in epoch {k} took a "
-                                             "weight past float32's range") from exc
+                                             "weight past float32's range")
             if pcfg.score == "spike_aware":
                 scores[idx] = spike_aware_score(btrace, score_layers)
             elif pcfg.score == "loss":
@@ -177,4 +174,6 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             solver_iters=sel.assignment.iterations))
         logger.info("epoch %d: r=%.3f processed=%d loss=%.4f acc=%.4f",
                     k, sel.ratio, processed, train_loss, test_acc)
+    for w, m in zip(net.weights, master):
+        w[...] = m
     return metrics

@@ -11,6 +11,7 @@ fixed base plus the `seed` argument.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Callable
 
@@ -283,8 +284,10 @@ def check_float32_agreement(seed: int = 0) -> tuple[bool, str]:
                       f"{FLOAT32_FLIP_TOL:g} of spikes)")
 
 
+@functools.cache
 def _mc_run(seed: int):
-    """Two-layer dense network, T=4, 64 examples, 20,000 mask draws."""
+    """Two-layer dense network, T=4, 64 examples, 20,000 mask draws; one run
+    per seed, which both Monte-Carlo checks read."""
     rng = np.random.default_rng(102 + seed)
     cfg = NeuronConfig(decay=0.5, time_steps=4)
     net = Network.from_arch("dense:16,dense:4", (24,), seed=7)

@@ -749,6 +749,20 @@ class TestVerifyCommand:
             expected + [f"ALL CHECKS PASSED ({n}/{n})"]
         assert not (tmp_path / "m.csv").exists()
 
+    def test_monte_carlo_checks_share_one_run(self, monkeypatch):
+        """Both Monte-Carlo checks read one 20,000-draw run per seed."""
+        calls, stats = [], oracle.estimator_stats
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return stats(*args, **kwargs)
+        monkeypatch.setattr(oracle, "estimator_stats", counted)
+        verify._mc_run.cache_clear()
+        for _ in range(2):
+            assert verify.check_estimator_unbiased(0)[0]
+            assert verify.check_variance_formula(0)[0]
+        assert calls == [1]
+
     def test_failed_check_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verify, "CHECKS", {
             "stub-pass": lambda seed=0: (True, "always passes"),

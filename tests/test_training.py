@@ -68,9 +68,9 @@ class TestSgdStep:
     @pytest.mark.parametrize("case", ["nan-in-layer-2", "buffer-shape",
                                       "float32-overflow-in-layer-2"])
     def test_rejected_step_changes_nothing(self, case):
-        """Every layer's new weights and buffer are formed and checked before
-        the first is written, so a step that raises leaves every weight and
-        buffer as it was."""
+        """A step that cannot be formed or leaves a non-finite weight raises.
+        A shape mismatch raises before any array is written; a non-finite
+        step is discarded by its run (test_failed_run_leaves_the_net_as_it_was)."""
         weights = [np.ones(2), np.ones(3)]
         grads, buffers = [np.ones(2), np.ones(3)], [np.zeros(2), np.zeros(3)]
         error, lr = ValueError, 0.1
@@ -84,10 +84,11 @@ class TestSgdStep:
             error = NumericDivergenceError
         with pytest.raises(error):
             sgd_step(weights, grads, buffers, lr, momentum=0.9)
-        for w in weights:
-            np.testing.assert_array_equal(w, 1.0)
-        for buf in buffers:
-            np.testing.assert_array_equal(buf, 0.0)
+        if case == "buffer-shape":
+            for w in weights:
+                np.testing.assert_array_equal(w, 1.0)
+            for buf in buffers:
+                np.testing.assert_array_equal(buf, 0.0)
 
     @pytest.mark.parametrize("kw", [dict(lr=0.0), dict(lr=0.1, momentum=1.0),
                                     dict(lr=0.1, weight_decay=-0.1),
@@ -257,9 +258,9 @@ class TestRunTraining:
         assert len(run_training(net, train, test, ncfg, pcfg, train_cfg(2))) == 2
 
     def test_float32_engine_on_float64_master_weights(self, monkeypatch):
-        """Each step runs forward, backward and evaluate on a float32 copy;
-        the weights and momentum that SGD updates stay float64 and keep
-        float64 precision."""
+        """Forward, backward and evaluate run on a float32 engine; SGD steps
+        the run's own float64 master weights with one list of float64
+        buffers, and the caller's net ends equal to that master bit for bit."""
         seen, steps = [], []
 
         def sgd_spy(weights, grads, buffers, *args):
@@ -276,47 +277,90 @@ class TestRunTraining:
             monkeypatch.setattr(f"sadp.training.{name}",
                                 recording(getattr(training, name)))
         net, train, test, ncfg = small_problem()
+        callers = net.weights
         run_training(net, train, test, ncfg, None, train_cfg(2))
         assert {name for name, _ in seen} == {"forward", "backward_bptt",
                                                "evaluate"}
         assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
-        # Every step updates net's own arrays and one list of buffers.
         assert len(steps) == 2 * 3
-        buffers = steps[-1][1]
+        master, buffers = steps[-1]
         for weights, bufs in steps:
-            assert bufs is buffers
-            assert all(a is b for a, b in zip(weights, net.weights))
-        for w, buf in zip(net.weights, buffers):
-            assert w.dtype == buf.dtype == np.float64
-            assert np.any(w != w.astype(np.float32))
+            assert weights is master and bufs is buffers
+        assert not any(m is w for m in master for w in callers)
+        for w, m, c, buf in zip(net.weights, master, callers, buffers):
+            assert w is c
+            assert m.dtype == buf.dtype == np.float64
+            np.testing.assert_array_equal(w, m)
+            assert np.any(m != m.astype(np.float32))
             assert np.any(buf != buf.astype(np.float32))
 
-    def test_one_engine_copy_per_update(self, monkeypatch):
-        """The float32 copy is made once before epoch 1 and once after each
-        update; the next step and the epoch's evaluate read that copy."""
-        copies, steps, evaluated = [], [], []
+    def test_one_engine_per_run(self, monkeypatch):
+        """The float32 engine is built once, before epoch 1, and refreshed in
+        place after each update: every forward, backward and evaluate gets
+        the same engine, and the last evaluate reads the final weights."""
+        copies, engines, evaluated = [], [], []
         astype = Network.astype
 
         def counted_astype(net, dtype):
             copies.append(np.dtype(dtype))
             return astype(net, dtype)
 
-        def sgd_spy(weights, *args):
-            steps.append(1)
-            return sgd_step(weights, *args)
-
-        def evaluate_spy(engine, *args):
-            evaluated.append([a.copy() for a in engine.weights])
-            return evaluate(engine, *args)
+        def recording(fn):
+            def wrapped(engine, *args, **kwargs):
+                engines.append((fn.__name__, engine))
+                if fn is evaluate:
+                    evaluated.append([a.copy() for a in engine.weights])
+                return fn(engine, *args, **kwargs)
+            return wrapped
         monkeypatch.setattr(Network, "astype", counted_astype)
-        monkeypatch.setattr("sadp.training.sgd_step", sgd_spy)
-        monkeypatch.setattr("sadp.training.evaluate", evaluate_spy)
+        for name in ("forward", "backward_bptt", "evaluate"):
+            monkeypatch.setattr(f"sadp.training.{name}",
+                                recording(getattr(training, name)))
         net, train, test, ncfg = small_problem()
         run_training(net, train, test, ncfg, None, train_cfg(2))
-        assert len(steps) == 6 and len(evaluated) == 2
-        assert copies == [np.dtype(np.float32)] * (1 + len(steps))
+        assert copies == [np.dtype(np.float32)]
+        names = [name for name, _ in engines]
+        assert names.count("backward_bptt") == 2 * 3 and len(evaluated) == 2
+        assert all(e is engines[0][1] for _, e in engines)
         for a, w in zip(evaluated[-1], net.weights):
             np.testing.assert_array_equal(a, w.astype(np.float32))
+
+    @pytest.mark.parametrize("case", ["inf-gradient-in-epoch-2",
+                                      "float32-overflow", "evaluate-raises"])
+    def test_failed_run_leaves_the_net_as_it_was(self, monkeypatch, case):
+        """The run steps a private copy of the weights and writes the
+        caller's net once, after the last epoch: a run that raises, however
+        late, leaves the caller's net bit-identical to its input."""
+        cfg, error, calls = train_cfg(3), NumericDivergenceError, []
+        if case == "inf-gradient-in-epoch-2":
+            # 96 examples in batches of 32: the 5th batch is epoch 2's second.
+            weight_grads = BackwardTrace.weight_grads
+
+            def fifth_is_inf(self, example_weights=None):
+                calls.append(1)
+                grads = weight_grads(self, example_weights=example_weights)
+                return [g + np.inf for g in grads] if len(calls) == 5 else grads
+            monkeypatch.setattr(BackwardTrace, "weight_grads", fifth_is_inf)
+            message = "non-finite update"
+        elif case == "float32-overflow":
+            cfg = dataclasses.replace(cfg, lr=1e300)
+            message = "an update in epoch 1 took a weight past float32's range"
+        else:
+            def evaluate_fails_in_epoch_2(engine, *args):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RuntimeError("evaluate failed")
+                return evaluate(engine, *args)
+            monkeypatch.setattr("sadp.training.evaluate",
+                                evaluate_fails_in_epoch_2)
+            error, message = RuntimeError, "evaluate failed"
+        net, train, test, ncfg = small_problem()
+        assert train.n == 96
+        before = [w.copy() for w in net.weights]
+        with pytest.raises(error, match=message):
+            run_training(net, train, test, ncfg, None, cfg)
+        for a, b in zip(before, net.weights):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("arch", ["dense:12,dense:4", "conv:2x3x3p1,dense:4"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
