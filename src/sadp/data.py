@@ -26,7 +26,12 @@ class RangeError(ValueError):
 
 @dataclass
 class DatasetHandle:
-    """In-memory dataset: data is (N, ...) static or (N, T, ...) pre-encoded."""
+    """In-memory dataset: data is (N, ...) static or (N, T, ...) pre-encoded.
+
+    Binary spike data (an SPKT file, rate encoding, the synthetic generator)
+    is held once as uint8 0/1, one byte per spike, and each batch is cast to
+    the engine's dtype as it runs (`snn.forward`); static IDX data, and its
+    direct encoding, is float64."""
 
     data: Array
     labels: Array | None
@@ -131,18 +136,20 @@ def encode(values: Array, mode: str, time_steps: int,
            seed: int | np.random.SeedSequence = 0) -> Array:
     """Turn analog values in [0, 1] into a T-step input sequence.
 
-    direct: the value is injected as an identical current at every step.
-    rate:   each step is an independent Bernoulli(value) spike, seeded.
+    direct: the value is injected as an identical current at every step
+            (float64).
+    rate:   each step is an independent Bernoulli(value) spike, seeded
+            (uint8 0/1).
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.min() < 0.0 or values.max() > 1.0:
+    if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise RangeError("input values must lie in [0, 1]")
     if mode == "direct":
         return np.repeat(values[:, None], time_steps, axis=1)
     if mode == "rate":
         rng = np.random.default_rng(seed)
         shape = (values.shape[0], time_steps) + values.shape[1:]
-        return (rng.random(shape) < values[:, None]).astype(np.float64)
+        return (rng.random(shape) < values[:, None]).view(np.uint8)
     raise ValueError(f"unknown encoding mode {mode!r}")
 
 
@@ -151,18 +158,18 @@ def gen_synthetic(classes: int, n: int, time_steps: int, dim: int, noise: float,
     """Random binary prototype patterns with independent bit flips.
 
     Each class gets a (T, dim) Bernoulli(0.5) prototype; every example copies
-    its class prototype with each bit flipped with probability `noise`.
+    its class prototype with each bit flipped with probability `noise`.  Data
+    and prototypes are uint8 0/1.
     """
     if classes < 2 or n < classes:
         raise ValueError("need at least 2 classes and n >= classes")
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
     rng = np.random.default_rng(seed)
-    protos = (rng.random((classes, time_steps, dim)) < 0.5).astype(np.float64)
+    protos = (rng.random((classes, time_steps, dim)) < 0.5).view(np.uint8)
     labels = np.arange(n, dtype=np.int64) % classes
     data = protos[labels]
-    flips = rng.random(data.shape) < noise
-    data = np.where(flips, 1.0 - data, data)
+    data ^= rng.random(data.shape) < noise
     return DatasetHandle(data=data, labels=labels, time_steps=time_steps,
                          prototypes=protos)
 
@@ -189,12 +196,14 @@ def write_spike_file(handle: DatasetHandle, path: str) -> None:
     dims = data.shape
     head = SPKT_MAGIC + struct.pack("<HBB", SPKT_VERSION, 0, len(dims))
     head += struct.pack(f"<{len(dims)}Q", *dims)
-    payload = data.astype(np.uint8).tobytes(order="C")
+    payload = data.astype(np.uint8, copy=False).tobytes(order="C")
     labels = np.asarray(handle.labels, dtype="<u4").tobytes()
     atomic_write_bytes(path, head + payload + labels)
 
 
 def read_spike_file(path: str) -> DatasetHandle:
+    """Parse an SPKT file.  Its spikes come back as a read-only uint8 view of
+    the file's bytes, with no copy."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SPKT_MAGIC:
@@ -227,18 +236,19 @@ def read_spike_file(path: str) -> DatasetHandle:
         raise FormatError(f"{len(raw) - off - 4 * n} trailing byte(s) after the "
                           "SPKT label block")
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
-    data = payload.reshape(dims).astype(np.float64)
+    data = payload.reshape(dims)
     t = int(dims[1]) if rank >= 2 else None
     return DatasetHandle(data=data, labels=labels, time_steps=t)
 
 
 def nearest_prototype_accuracy(handle: DatasetHandle) -> float:
-    """Hamming nearest-prototype classification accuracy (brute force)."""
+    """Hamming nearest-prototype classification accuracy (brute force),
+    counting mismatched entries, since uint8 differences wrap."""
     if handle.prototypes is None:
         raise ValueError("handle carries no prototypes")
     n = handle.n
     flat = handle.data.reshape(n, -1)
     protos = handle.prototypes.reshape(handle.prototypes.shape[0], -1)
-    dists = np.abs(flat[:, None, :] - protos[None, :, :]).sum(axis=2)
+    dists = (flat[:, None, :] != protos[None, :, :]).sum(axis=2)
     pred = dists.argmin(axis=1)
     return float((pred == handle.labels).mean())

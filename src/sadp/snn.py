@@ -8,8 +8,10 @@ autodiff framework underneath.
 Precision rule: the engine computes in the dtype of its network's weights,
 float32 or float64 (`Network.astype` makes the other copy), and casts each
 batch's input to it; every trace array, error and gradient comes out in that
-dtype.  Training runs a float32 copy of its float64 master weights; the
-oracle, `sadp verify` and `sadp analyze` run the same code in float64.
+dtype.  Datasets therefore keep their own precision: binary spikes stay uint8
+0/1, held once, and static IDX data float64.  Training runs a float32 copy of
+its float64 master weights; the oracle, `sadp verify` and `sadp analyze` run
+the same code in float64.
 
 Layout rule: every record is read as (B, T, *layer_shape).  A conv layer,
 and every layer after one, stores its membranes and spikes examples-last, as

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from sadp.cli import (EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE,
                       save_weights)
 from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
-from sadp.data import (METRICS_HEADER, DatasetHandle, read_spike_file,
-                       write_spike_file)
+from sadp.data import (METRICS_HEADER, DatasetHandle, gen_synthetic,
+                       read_spike_file, write_spike_file)
 from sadp.pruning import smooth_probabilities, spike_aware_score
 from sadp.snn import Network, backward_bptt, forward
 
@@ -511,6 +512,39 @@ class TestDataFitsNet:
         assert capsys.readouterr().err.splitlines() == [
             f"error: dataset {spkt} of 1 example(s) leaves no training "
             "example after the 80/20 split"]
+
+    @pytest.mark.parametrize("mode", ["direct", "rate"])
+    def test_empty_idx_pair_is_usage_error(self, tmp_path, capsys, mode):
+        """An IDX pair of no images gets the same line as a too-small SPKT
+        file, whichever encoding would have run."""
+        path = idx_pair(tmp_path, n=0)
+        assert main(["train", "-o", f"dataset.path={path}",
+                     "-o", f"encode.mode={mode}",
+                     "-o", f"out.metrics={tmp_path}/m.csv",
+                     "-o", f"out.weights={tmp_path}/w.npz"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: dataset {path} of 0 example(s) leaves no training "
+            "example after the 80/20 split"]
+
+
+class TestSpikeDataBytes:
+    def test_spike_data_is_held_once_as_uint8(self, tmp_path):
+        """An SPKT file's N x T x D spikes load as N * T * D bytes of train
+        and test data, and reading the file makes no widened copy: the
+        reader's peak stays within twice the file's size."""
+        n, t, d = 500, 8, 64
+        spkt = tmp_path / "d.spkt"
+        write_spike_file(gen_synthetic(10, n, t, d, 0.2, seed=0), str(spkt))
+        tracemalloc.start()
+        try:
+            handle = read_spike_file(str(spkt))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert handle.data.dtype == np.uint8
+        assert peak <= 2 * spkt.stat().st_size
+        train, test = load_dataset(parse_config(None, [f"dataset.path={spkt}"]))
+        assert train.data.nbytes + test.data.nbytes == n * t * d
 
 
 class TestGenDataCommand:

@@ -72,7 +72,7 @@ class TestEncode:
     def test_direct_replicates(self):
         x = np.array([[0.2, 0.9]])
         out = encode(x, "direct", 5)
-        assert out.shape == (1, 5, 2)
+        assert out.shape == (1, 5, 2) and out.dtype == np.float64
         for t in range(5):
             np.testing.assert_array_equal(out[:, t], x)
 
@@ -86,8 +86,13 @@ class TestEncode:
 
     def test_rate_deterministic_per_seed(self):
         x = np.random.default_rng(0).random((4, 6))
-        np.testing.assert_array_equal(encode(x, "rate", 8, seed=5),
-                                      encode(x, "rate", 8, seed=5))
+        spikes = encode(x, "rate", 8, seed=5)
+        np.testing.assert_array_equal(spikes, encode(x, "rate", 8, seed=5))
+        assert spikes.dtype == np.uint8 and set(np.unique(spikes)) == {0, 1}
+
+    @pytest.mark.parametrize("mode", ["direct", "rate"])
+    def test_empty_input_encodes_to_empty(self, mode):
+        assert encode(np.zeros((0, 2, 2)), mode, 3).shape == (0, 3, 2, 2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(RangeError):
@@ -97,6 +102,7 @@ class TestEncode:
 class TestSynthetic:
     def test_zero_noise_equals_prototype(self):
         h = gen_synthetic(3, 12, 4, 10, 0.0, seed=0)
+        assert h.data.dtype == h.prototypes.dtype == np.uint8
         for i in range(12):
             np.testing.assert_array_equal(h.data[i], h.prototypes[h.labels[i]])
 
@@ -108,7 +114,12 @@ class TestSynthetic:
 
     def test_nearest_prototype_accuracy(self):
         h = gen_synthetic(10, 500, 8, 64, 0.05, seed=3)
-        assert nearest_prototype_accuracy(h) > 0.9
+        acc = nearest_prototype_accuracy(h)
+        assert acc > 0.9
+        # Mismatches are counted, so uint8's wrapping difference cannot enter.
+        wide = DatasetHandle(h.data.astype(np.float64), h.labels, h.time_steps,
+                             h.prototypes.astype(np.float64))
+        assert nearest_prototype_accuracy(wide) == acc
 
     def test_accuracy_decreases_with_noise(self):
         accs = [nearest_prototype_accuracy(gen_synthetic(6, 400, 6, 32, rho, seed=5))
@@ -120,6 +131,9 @@ class TestSynthetic:
         train, test = gen_synthetic_split(5, 50, 20, 4, 16, 0.1, seed=1)
         np.testing.assert_array_equal(train.prototypes, test.prototypes)
         assert train.n == 50 and test.n == 20
+        for h in (train, test):
+            assert h.data.dtype == np.uint8
+            assert set(np.unique(h.data)) == {0, 1}
 
 
 class TestSpikeFile:
@@ -131,6 +145,7 @@ class TestSpikeFile:
         np.testing.assert_array_equal(back.data, h.data)
         np.testing.assert_array_equal(back.labels, h.labels)
         assert back.time_steps == 5
+        assert back.data.dtype == np.uint8
 
     def test_rank5_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from sadp import snn
 from sadp.data import DatasetHandle
 from sadp.oracle import _im2col as im2col_nchw
-from sadp.oracle import per_example_gradients
+from sadp.oracle import exact_grad_norms, per_example_gradients
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
                       backward_bptt, forward, im2col, parse_arch, patch_count,
                       run_layer, soft_spike, surrogate_grad)
@@ -582,6 +584,30 @@ class TestPrecision:
         want = float((loss.logits.argmax(axis=1) == labels).mean())
         assert 0.25 < want < 1.0
         assert evaluate(net, DatasetHandle(x, labels, time_steps=3), cfg) == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch, shape", [
+        ("dense:10,dense:4", (8,)),
+        ("conv:4x3x3s2p1,conv:4x3x3,dense:4", (2, 8, 8))])
+    def test_uint8_spikes_run_as_their_float64_copy(self, dtype, arch, shape):
+        """Spike data held as uint8 0/1 is cast per batch: forward, evaluate
+        and the oracle's exact norms give the float64 copy's outputs."""
+        net = Network.from_arch(arch, shape, seed=1, init_scale=2.0).astype(dtype)
+        cfg = make_cfg(threshold=0.5, time_steps=3)
+        rng = np.random.default_rng(5)
+        spikes = (rng.random((EVAL_BATCH + 7, 3) + shape) < 0.5).view(np.uint8)
+        labels = rng.integers(0, 4, spikes.shape[0])
+        outputs = []
+        for x in (spikes, spikes.astype(np.float64)):
+            trace, loss = forward(net, x, labels, cfg)
+            norms = exact_grad_norms(net, x, labels, cfg, (0, len(net) - 1))
+            outputs.append(trace.spikes + trace.membranes
+                           + [loss.logits, loss.per_example_loss]
+                           + [getattr(norms, f.name) for f in fields(norms)]
+                           + [evaluate(net, DatasetHandle(x, labels, 3), cfg)])
+        assert outputs[0][0].dtype == np.dtype(dtype)
+        for a, b in zip(*outputs):
+            np.testing.assert_array_equal(a, b)
 
     def test_scalar_helpers_follow_their_input(self):
         cfg = make_cfg()

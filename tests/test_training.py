@@ -486,11 +486,12 @@ class TestChecksBeforeEpochOne:
         elif case == "empty-test":
             test = _subset(test, rows=slice(0))
         elif case == "nan-in-train":
-            data = train.data.copy()
+            # Generated spikes are uint8, which holds no NaN: a float64 copy does.
+            data = train.data.astype(np.float64)
             data[5, 0, 0] = np.nan
             train = _subset(train, data=data)
         elif case == "inf-in-test":
-            data = test.data.copy()
+            data = test.data.astype(np.float64)
             data[-1, -1, -1] = -np.inf
             test = _subset(test, data=data)
         else:
