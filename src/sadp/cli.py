@@ -114,11 +114,10 @@ def load_dataset(cfg: dict) -> tuple[DatasetHandle, DatasetHandle]:
     if path:
         with _reading("dataset", path):
             if ":" in path:
-                images, labels = path.split(":", 1)
-                handle = load_idx(images, labels)
-                spikes = encode(handle.data, cfg["encode.mode"], t,
-                                seed=_data_seed(cfg))
-                handle = DatasetHandle(spikes, handle.labels, time_steps=t)
+                images, labels = load_idx(*path.split(":", 1))
+                handle = DatasetHandle(encode(images, cfg["encode.mode"], t,
+                                              seed=_data_seed(cfg)),
+                                       labels, time_steps=t)
             else:
                 handle = read_spike_file(path)
         n_test = max(handle.n // 5, 1)
@@ -158,8 +157,8 @@ def _fitted_neuron_config(cfg: dict, net: Network,
                           *handles: DatasetHandle) -> NeuronConfig:
     """The neuron config at the first handle's T, once every handle fits net
     (`snn.check_data`); a misfit is a usage error."""
-    with _config_values():  # T = 1 for no time axis, which check_data rejects
-        ncfg = neuron_config(cfg, handles[0].time_steps or 1)
+    with _config_values():
+        ncfg = neuron_config(cfg, handles[0].time_steps)
     with _config_values(""):
         for handle in handles:
             check_data(net, handle.data, handle.labels, ncfg, "dataset")
@@ -269,7 +268,6 @@ def cmd_analyze(cfg: dict) -> int:
                + "\n".join(rows) + "\n")
     sys.stdout.write(summary)
     atomic_write_bytes(cfg["out.report"], summary.encode())
-    atomic_write_bytes(cfg["out.metrics"], ("\n".join(rows) + "\n").encode())
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -26,16 +27,16 @@ class RangeError(ValueError):
 
 @dataclass
 class DatasetHandle:
-    """In-memory dataset: data is (N, ...) static or (N, T, ...) pre-encoded.
+    """In-memory dataset: data is (N, T, ...) with one integer label each.
 
     Binary spike data (an SPKT file, rate encoding, the synthetic generator)
-    is held once as uint8 0/1, one byte per spike, and each batch is cast to
-    the engine's dtype as it runs (`snn.forward`); static IDX data, and its
-    direct encoding, is float64."""
+    is held once as uint8 0/1, one byte per spike; directly encoded images
+    are a read-only float64 view with stride 0 over T, each image held once.
+    Each batch is cast to the engine's dtype as it runs (`snn.forward`)."""
 
     data: Array
-    labels: Array | None
-    time_steps: int | None = None  # set when data is already a spike sequence
+    labels: Array
+    time_steps: int
     prototypes: Array | None = None
 
     @property
@@ -44,8 +45,7 @@ class DatasetHandle:
 
     @property
     def input_shape(self) -> tuple[int, ...]:
-        off = 2 if self.time_steps is not None else 1
-        return tuple(self.data.shape[off:])
+        return tuple(self.data.shape[2:])
 
 
 @dataclass
@@ -92,22 +92,19 @@ def write_metrics(rows: Iterable[MetricsRow], path: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
-def load_idx(path: str, labels_path: str | None = None) -> DatasetHandle:
+def load_idx(images_path: str, labels_path: str) -> tuple[Array, Array]:
     """Parse a big-endian u8 IDX image file of rank >= 2 (N, ...), such as
-    0x00000803, normalized to [0, 1].  When labels_path is given, its rank-1
-    label vector (0x00000801) is attached to the returned handle.
+    0x00000803, and its rank-1 label file (0x00000801): the images as float64
+    in [0, 1] and one int64 label per image.
     """
-    data = _read_idx_array(path)
-    if data.ndim < 2:
+    images = _read_idx_array(images_path)
+    if images.ndim < 2:
         raise FormatError(f"IDX image file needs rank >= 2 (N, ...), "
-                          f"got rank {data.ndim}")
-    labels = None
-    if labels_path is not None:
-        labels = _read_idx_array(labels_path)
-        if labels.ndim != 1 or labels.shape[0] != data.shape[0]:
-            raise FormatError("label file does not match image count")
-        labels = labels.astype(np.int64)
-    return DatasetHandle(data=data.astype(np.float64) / 255.0, labels=labels)
+                          f"got rank {images.ndim}")
+    labels = _read_idx_array(labels_path)
+    if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
+        raise FormatError("label file does not match image count")
+    return np.divide(images, 255.0, dtype=np.float64), labels.astype(np.int64)
 
 
 def _read_idx_array(path: str) -> Array:
@@ -122,35 +119,40 @@ def _read_idx_array(path: str) -> Array:
         if len(dims_raw) != 4 * rank:
             raise FormatError("truncated IDX dimension block")
         dims = struct.unpack(f">{rank}I", dims_raw)
-        expected = int(np.prod(dims))
-        payload = fh.read(expected)
-        if len(payload) != expected:
-            raise FormatError(f"payload length {len(payload)} != declared {expected}")
-        trailing = len(fh.read())
-        if trailing:
-            raise FormatError(f"{trailing} trailing byte(s) after the IDX payload")
+        payload = fh.read()
+    expected = math.prod(dims)  # exact: a product of u32 dims may pass 2**63
+    if len(payload) < expected:
+        raise FormatError(f"payload length {len(payload)} != declared {expected}")
+    if len(payload) > expected:
+        raise FormatError(f"{len(payload) - expected} trailing byte(s) after "
+                          "the IDX payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def encode(values: Array, mode: str, time_steps: int,
            seed: int | np.random.SeedSequence = 0) -> Array:
-    """Turn analog values in [0, 1] into a T-step input sequence.
+    """Turn analog values in [0, 1], (N, ...), into (N, T, ...) sequences.
 
-    direct: the value is injected as an identical current at every step
-            (float64).
+    direct: the same current at every step: a read-only float64 view with
+            stride 0 over T, which holds each value once.
     rate:   each step is an independent Bernoulli(value) spike, seeded
             (uint8 0/1).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise RangeError("input values must lie in [0, 1]")
+    shape = (values.shape[0], time_steps) + values.shape[1:]
     if mode == "direct":
-        return np.repeat(values[:, None], time_steps, axis=1)
+        return np.broadcast_to(values[:, None], shape)
     if mode == "rate":
         rng = np.random.default_rng(seed)
-        shape = (values.shape[0], time_steps) + values.shape[1:]
         return (rng.random(shape) < values[:, None]).view(np.uint8)
     raise ValueError(f"unknown encoding mode {mode!r}")
+
+
+# Examples per float64 bit-flip draw in gen_synthetic, which bounds that
+# transient; Generator.random fills in C order, so the bits match one draw.
+FLIP_BLOCK = 256
 
 
 def gen_synthetic(classes: int, n: int, time_steps: int, dim: int, noise: float,
@@ -169,7 +171,9 @@ def gen_synthetic(classes: int, n: int, time_steps: int, dim: int, noise: float,
     protos = (rng.random((classes, time_steps, dim)) < 0.5).view(np.uint8)
     labels = np.arange(n, dtype=np.int64) % classes
     data = protos[labels]
-    data ^= rng.random(data.shape) < noise
+    for start in range(0, n, FLIP_BLOCK):
+        block = data[start:start + FLIP_BLOCK]
+        block ^= rng.random(block.shape) < noise
     return DatasetHandle(data=data, labels=labels, time_steps=time_steps,
                          prototypes=protos)
 
@@ -191,8 +195,6 @@ def write_spike_file(handle: DatasetHandle, path: str) -> None:
     data = np.asarray(handle.data)
     if not np.all((data == 0.0) | (data == 1.0)):
         raise ValueError("SPKT stores binary spike data only")
-    if handle.labels is None:
-        raise ValueError("SPKT requires labels")
     dims = data.shape
     head = SPKT_MAGIC + struct.pack("<HBB", SPKT_VERSION, 0, len(dims))
     head += struct.pack(f"<{len(dims)}Q", *dims)
@@ -215,14 +217,16 @@ def read_spike_file(path: str) -> DatasetHandle:
         raise FormatError(f"unsupported SPKT version {version}")
     if dtype_code != 0:
         raise FormatError(f"unsupported SPKT dtype {dtype_code}")
-    if rank < 1:
-        raise FormatError("SPKT data needs rank >= 1 (N, ...), got rank 0")
+    if rank < 2:
+        raise FormatError(f"SPKT data needs rank >= 2 (N, T, ...), got rank {rank}")
     off = 8
     if len(raw) < off + 8 * rank:
         raise FormatError("truncated SPKT dimension block")
     dims = struct.unpack_from(f"<{rank}Q", raw, off)
+    if dims[1] < 1:
+        raise FormatError("SPKT data needs T >= 1 time steps, got 0")
     off += 8 * rank
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a product of u64 dims may pass 2**63
     if len(raw) < off + count:
         raise FormatError("truncated SPKT payload")
     payload = np.frombuffer(raw, dtype=np.uint8, count=count, offset=off)
@@ -236,9 +240,8 @@ def read_spike_file(path: str) -> DatasetHandle:
         raise FormatError(f"{len(raw) - off - 4 * n} trailing byte(s) after the "
                           "SPKT label block")
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
-    data = payload.reshape(dims)
-    t = int(dims[1]) if rank >= 2 else None
-    return DatasetHandle(data=data, labels=labels, time_steps=t)
+    return DatasetHandle(data=payload.reshape(dims), labels=labels,
+                         time_steps=dims[1])
 
 
 def nearest_prototype_accuracy(handle: DatasetHandle) -> float:

@@ -175,6 +175,8 @@ def _norm_workers(chunks: int) -> int:
 
     BLAS threads is the first positive integer among BLAS_THREAD_VARS.  With
     none set, BLAS runs on every CPU itself, so the chunks run serially.
+    Where os.sched_getaffinity is missing (macOS, Windows), the usable CPUs
+    are os.cpu_count(), or 1 when that is unknown.
     """
     for var in BLAS_THREAD_VARS:
         try:
@@ -182,7 +184,9 @@ def _norm_workers(chunks: int) -> int:
         except ValueError:
             continue
         if blas > 0:
-            return max(1, min(chunks, len(os.sched_getaffinity(0)) // blas))
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+                else os.cpu_count() or 1
+            return max(1, min(chunks, cpus // blas))
     return 1
 
 

@@ -9,9 +9,9 @@ Precision rule: the engine computes in the dtype of its network's weights,
 float32 or float64 (`Network.astype` makes the other copy), and casts each
 batch's input to it; every trace array, error and gradient comes out in that
 dtype.  Datasets therefore keep their own precision: binary spikes stay uint8
-0/1, held once, and static IDX data float64.  Training runs a float32 copy of
-its float64 master weights; the oracle, `sadp verify` and `sadp analyze` run
-the same code in float64.
+0/1, held once, and static IDX images float64, held once as a stride-0 view
+over T.  Training runs a float32 copy of its float64 master weights; the
+oracle, `sadp verify` and `sadp analyze` run the same code in float64.
 
 Layout rule: every record is read as (B, T, *layer_shape).  A conv layer,
 and every layer after one, stores its membranes and spikes examples-last, as
@@ -466,13 +466,14 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     """Run the network over T time steps, recording all state.
 
     encoded_input has shape (batch, T, *input_shape); spikes or currents at
-    layer 0, cast to the network's dtype.  The batch and its labels pass
-    `check_data` before any layer runs.  The readout is the per-class mean
-    output spike count over T, scored with softmax cross-entropy.  With
-    smooth=True the hard threshold is replaced by its soft counterpart (for
-    gradient checking).
+    layer 0, cast to a C-order array of the network's dtype, so a stride-0
+    batch runs as its T copies.  The batch and its labels pass `check_data`
+    before any layer runs.  The readout is the per-class mean output spike
+    count over T, scored with softmax cross-entropy.  With smooth=True the
+    hard threshold is replaced by its soft counterpart (for gradient
+    checking).
     """
-    x = np.asarray(encoded_input, dtype=net.dtype)
+    x = np.ascontiguousarray(encoded_input, dtype=net.dtype)
     check_data(net, x, labels, cfg)
     batch, t_steps = x.shape[0], x.shape[1]
     labels = np.asarray(labels, dtype=np.int64)

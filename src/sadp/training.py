@@ -122,7 +122,8 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
     for name, handle in (("train set", train), ("test set", test)):
         if handle is not None:
             check_data(net, handle.data, handle.labels, ncfg, name)
-            if not np.all(np.isfinite(handle.data)):
+            # min and max reach NaN and +-inf with no (N, T, ...) mask.
+            if not np.isfinite([handle.data.min(), handle.data.max()]).all():
                 raise ValueError(f"{name} holds a non-finite value")
     score_layers = resolve_score_layers(pcfg.score_layers, len(net))
     master = [w.copy() for w in net.weights]

@@ -23,8 +23,9 @@ from sadp.config import (KNOWN_KEYS, UsageError, default_beta,
                          default_max_ratio, parse_config, parse_score_layers)
 from sadp.data import (METRICS_HEADER, DatasetHandle, gen_synthetic,
                        read_spike_file, write_spike_file)
-from sadp.pruning import smooth_probabilities, spike_aware_score
+from sadp.pruning import PruneConfig, smooth_probabilities, spike_aware_score
 from sadp.snn import Network, backward_bptt, forward
+from sadp.training import TrainConfig, run_training
 
 
 def write_config(tmp_path, text):
@@ -331,6 +332,42 @@ class TestIdxDataset:
         assert net.specs[0].input_shape == ((8, 8) if arch.startswith("dense")
                                             else (1, 8, 8))
 
+    @pytest.mark.parametrize("arch", ["dense:12,dense:4",
+                                      "conv:4x3x3p1,conv:4x3x3,dense:4"])
+    def test_stride_zero_images_run_as_their_copies(self, tmp_path, arch):
+        """A directly encoded image set is a stride-0 view over T.  Pruned
+        training (float32 engine, every layer scored) and exact_grad_norms
+        (float64) on it give, bit for bit, what the same images materialized
+        as T copies give."""
+        cfg = parse_config(None, [f"dataset.path={idx_pair(tmp_path)}",
+                                  f"net.arch={arch}", "dataset.synthetic.t=3",
+                                  "neuron.threshold=0.5"])
+        view = load_dataset(cfg)
+        assert view[0].data.strides[1] == 0
+        copies = tuple(DatasetHandle(np.repeat(h.data[:, :1], 3, axis=1),
+                                     h.labels, time_steps=3) for h in view)
+        results = []
+        for train, test in (view, copies):
+            net = cli.build_network(cfg, train)
+            ncfg = neuron_config(cfg, train.time_steps)
+            layers = tuple(range(len(net)))
+            pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, smoothing_constant=0.3,
+                               score_layers=layers)
+            rows = run_training(net, train, test, ncfg, pcfg,
+                                TrainConfig(epochs=3, batch_size=16, lr=0.1))
+            results.append(([dataclasses.replace(r, wall_s=0.0) for r in rows],
+                            net.weights,
+                            oracle.exact_grad_norms(net, train.data, train.labels,
+                                                    ncfg, layers)))
+        (rows, weights, report), (rows_c, weights_c, report_c) = results
+        assert rows == rows_c
+        for w, w_c in zip(weights, weights_c):
+            np.testing.assert_array_equal(w, w_c)
+        for field in dataclasses.fields(report):
+            np.testing.assert_array_equal(getattr(report, field.name),
+                                          getattr(report_c, field.name),
+                                          err_msg=field.name)
+
 
 def spkt_bytes(version=1, dtype=0, dims=(5, 2, 4), payload=None, labels=5):
     """An SPKT file's bytes; payload defaults to dims' zeros."""
@@ -363,6 +400,17 @@ class TestInputErrors:
                                 spkt_bytes(payload=bytes(39) + b"\x02"), None),
         "spkt-truncated-labels": ("truncated SPKT label block",
                                   spkt_bytes(labels=4), None),
+        "spkt-rank-1": ("SPKT data needs rank >= 2 (N, T, ...), got rank 1",
+                        spkt_bytes(dims=(5,)), None),
+        "spkt-0-time-steps": ("SPKT data needs T >= 1 time steps, got 0",
+                              spkt_bytes(dims=(5, 0, 4)), None),
+        # Sizes of 2**64 bytes, which an int64 product wraps to 0.
+        "spkt-size-past-2**63": ("truncated SPKT payload",
+                                 spkt_bytes(dims=(1, 2**32, 2**32), payload=b"",
+                                            labels=1), None),
+        "idx-size-past-2**63": (f"payload length 0 != declared {2**64}",
+                                idx_bytes((1, 65536, 65536, 65536, 65536), b""),
+                                idx_bytes((1,), bytes(1))),
     }
 
     @pytest.mark.parametrize("case", list(DATASET))
@@ -465,7 +513,7 @@ class TestDataFitsNet:
         "analyze-dim-64": "dataset input shape (64,) does not fit layer 0 "
                           "input (16,)",
         "analyze-10-classes": "dataset label 9 out of range for 4 output units",
-        "analyze-rank-1-spkt": "dataset of shape (8,) is not (N, T, ...) "
+        "analyze-rank-2-spkt": "dataset of shape (8, 4) is not (N, T, ...) "
                                "spike data"}
 
     @pytest.mark.parametrize("case", list(ERRORS))
@@ -484,10 +532,11 @@ class TestDataFitsNet:
             extra = {"analyze-dim-64": ["-o", "dataset.synthetic.classes=4",
                                         "-o", "dataset.synthetic.dim=64"],
                      "analyze-10-classes": [],
-                     "analyze-rank-1-spkt": ["-o", f"dataset.path={tmp_path}/d.spkt"]}
-            if case == "analyze-rank-1-spkt":
-                write_spike_file(DatasetHandle(np.zeros(10),
-                                               np.zeros(10, dtype=int)),
+                     "analyze-rank-2-spkt": ["-o", f"dataset.path={tmp_path}/d.spkt"]}
+            if case == "analyze-rank-2-spkt":
+                write_spike_file(DatasetHandle(np.zeros((10, 4)),
+                                               np.zeros(10, dtype=int),
+                                               time_steps=4),
                                  str(tmp_path / "d.spkt"))
             args = ["analyze"] + self.SMALL + extra[case] + out
         assert main(args) == EXIT_USAGE
@@ -546,6 +595,22 @@ class TestSpikeDataBytes:
         train, test = load_dataset(parse_config(None, [f"dataset.path={spkt}"]))
         assert train.data.nbytes + test.data.nbytes == n * t * d
 
+    def test_static_images_are_held_once(self, tmp_path):
+        """An IDX pair of N images of D pixels loads, encoded directly over
+        T = 8 steps, as about N * D float64 values, not N * T * D."""
+        n, side = 500, 12
+        path = idx_pair(tmp_path, n=n, side=side)
+        cfg = parse_config(None, [f"dataset.path={path}", "dataset.synthetic.t=8"])
+        tracemalloc.start()
+        try:
+            train, test = load_dataset(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (train.time_steps, train.input_shape) == (8, (side, side))
+        images = n * side * side * 8
+        assert held < 1.2 * images and peak < 1.5 * images
+
 
 class TestGenDataCommand:
     def test_round_trip_through_train(self, tmp_path, capsys):
@@ -598,6 +663,15 @@ class TestAnalyzeCommand:
         report = (tmp_path / "r.txt").read_text()
         for name in ("spike_aware", "loss", "uniform"):
             assert name in report
+
+    def test_leaves_the_training_metrics_alone(self, tmp_path, capsys):
+        """train and analyze of one config share out.metrics; analyze writes
+        its rows to out.report only, so train's file stays byte for byte."""
+        common = self.trained(tmp_path, capsys)
+        metrics = (tmp_path / "m.csv").read_bytes()
+        assert main(["analyze"] + common) == EXIT_OK
+        assert (tmp_path / "m.csv").read_bytes() == metrics
+        assert "method,variance\n" in (tmp_path / "r.txt").read_text()
 
     def test_float64_weights_and_float64_analyze(self, tmp_path, capsys):
         """train runs a float32 engine but writes float64 weights; analyze

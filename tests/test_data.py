@@ -1,9 +1,11 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sadp import data as data_module
 from sadp.data import (DatasetHandle, FormatError, RangeError, MetricsRow,
                        METRICS_HEADER, atomic_write_bytes, encode, gen_synthetic,
                        gen_synthetic_split, load_idx,
@@ -23,24 +25,26 @@ class TestIdx:
         raw = idx_bytes((2, 28, 28), payload[:28 * 28 * 2])
         p = tmp_path / "imgs.idx"
         p.write_bytes(raw)
-        handle = load_idx(str(p))
-        assert handle.n == 2
-        assert handle.input_shape == (28, 28)
-        assert handle.data.max() <= 1.0 and handle.data.min() >= 0.0
+        labels = tmp_path / "labels.idx"
+        labels.write_bytes(idx_bytes((2,), bytes([1, 0])))
+        images, _ = load_idx(str(p), str(labels))
+        assert images.shape == (2, 28, 28) and images.dtype == np.float64
+        assert images.max() <= 1.0 and images.min() >= 0.0
 
     def test_with_labels(self, tmp_path):
         imgs = tmp_path / "i.idx"
         labs = tmp_path / "l.idx"
         imgs.write_bytes(idx_bytes((3, 2, 2), bytes(12)))
         labs.write_bytes(idx_bytes((3,), bytes([1, 0, 2])))
-        handle = load_idx(str(imgs), str(labs))
-        np.testing.assert_array_equal(handle.labels, [1, 0, 2])
+        _, labels = load_idx(str(imgs), str(labs))
+        np.testing.assert_array_equal(labels, [1, 0, 2])
+        assert labels.dtype == np.int64
 
     def test_wrong_dtype_byte(self, tmp_path):
         p = tmp_path / "bad.idx"
         p.write_bytes(idx_bytes((2, 2, 2), bytes(8), dtype=0x07))
         with pytest.raises(FormatError):
-            load_idx(str(p))
+            load_idx(str(p), str(p))
 
     def test_rank_one_image_file_rejected(self, tmp_path):
         """A label file given as the image file is a format error that names
@@ -54,13 +58,13 @@ class TestIdx:
         p = tmp_path / "short.idx"
         p.write_bytes(idx_bytes((2, 4, 4), bytes(10)))
         with pytest.raises(FormatError):
-            load_idx(str(p))
+            load_idx(str(p), str(p))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "long.idx"
         p.write_bytes(idx_bytes((2, 2, 2), bytes(8)) + bytes(4))
         with pytest.raises(FormatError, match="4 trailing byte"):
-            load_idx(str(p))
+            load_idx(str(p), str(p))
         labels = tmp_path / "labels.idx"
         labels.write_bytes(idx_bytes((2,), bytes([1, 0])) + bytes(4))
         p.write_bytes(idx_bytes((2, 2, 2), bytes(8)))
@@ -70,11 +74,15 @@ class TestIdx:
 
 class TestEncode:
     def test_direct_replicates(self):
+        """Direct encoding repeats each value over T as a read-only view with
+        stride 0 over T, holding each value once."""
         x = np.array([[0.2, 0.9]])
         out = encode(x, "direct", 5)
         assert out.shape == (1, 5, 2) and out.dtype == np.float64
         for t in range(5):
             np.testing.assert_array_equal(out[:, t], x)
+        assert out.strides[1] == 0 and not out.flags.writeable
+        assert np.shares_memory(out, x)
 
     def test_rate_zero_intensity_silent(self):
         out = encode(np.zeros((3, 4)), "rate", 10, seed=1)
@@ -120,6 +128,23 @@ class TestSynthetic:
         wide = DatasetHandle(h.data.astype(np.float64), h.labels, h.time_steps,
                              h.prototypes.astype(np.float64))
         assert nearest_prototype_accuracy(wide) == acc
+
+    def test_flips_drawn_in_blocks(self, monkeypatch):
+        """The bit flips are drawn FLIP_BLOCK examples at a time: the peak
+        stays under three times the data's bytes, where one float64 draw over
+        the whole set is eight times them, and the bits are those of that
+        one draw."""
+        tracemalloc.start()
+        try:
+            h = gen_synthetic(10, 2500, 8, 64, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * h.data.nbytes
+        monkeypatch.setattr(data_module, "FLIP_BLOCK", 2500)
+        whole = gen_synthetic(10, 2500, 8, 64, 0.2)
+        np.testing.assert_array_equal(h.data, whole.data)
+        np.testing.assert_array_equal(h.prototypes, whole.prototypes)
 
     def test_accuracy_decreases_with_noise(self):
         accs = [nearest_prototype_accuracy(gen_synthetic(6, 400, 6, 32, rho, seed=5))
@@ -184,7 +209,8 @@ class TestSpikeFile:
             read_spike_file(str(p))
 
     def test_rejects_non_binary(self, tmp_path):
-        h = DatasetHandle(data=np.array([[0.5]]), labels=np.array([0]))
+        h = DatasetHandle(data=np.array([[0.5]]), labels=np.array([0]),
+                          time_steps=1)
         with pytest.raises(ValueError):
             write_spike_file(h, str(tmp_path / "x.spkt"))
 

@@ -57,12 +57,19 @@ def norm_case(kind, n):
 
 
 def pin_workers(monkeypatch, blas_threads, cpus=2):
-    """Set the BLAS thread variables and the usable CPUs _norm_workers reads."""
+    """Set the BLAS thread variables and the usable CPUs _norm_workers reads.
+    cpus = ("cpu_count", k) stands for a platform without
+    os.sched_getaffinity, whose os.cpu_count() returns k."""
     for var in oracle.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     if blas_threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if isinstance(cpus, tuple):
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus[1])
+    else:
+        monkeypatch.setattr(oracle.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
 
 
 class TestChunkedNorms:
@@ -202,6 +209,8 @@ class TestThreadedNorms:
         ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2, 8, 2),
         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 8, 2),
         ({"OMP_NUM_THREADS": "0"}, 2, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, ("cpu_count", 4), 8, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, ("cpu_count", None), 8, 1),  # unknown
     ])
     def test_worker_rule(self, monkeypatch, env, cpus, chunks, workers):
         pin_workers(monkeypatch, None, cpus)
