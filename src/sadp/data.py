@@ -146,12 +146,18 @@ def encode(values: Array, mode: str, time_steps: int,
         return np.broadcast_to(values[:, None], shape)
     if mode == "rate":
         rng = np.random.default_rng(seed)
-        return (rng.random(shape) < values[:, None]).view(np.uint8)
+        spikes = np.empty(shape, dtype=np.uint8)
+        for start in range(0, shape[0], FLIP_BLOCK):
+            block = values[start:start + FLIP_BLOCK, None]
+            spikes[start:start + FLIP_BLOCK] = \
+                rng.random((block.shape[0],) + shape[1:]) < block
+        return spikes
     raise ValueError(f"unknown encoding mode {mode!r}")
 
 
-# Examples per float64 bit-flip draw in gen_synthetic, which bounds that
-# transient; Generator.random fills in C order, so the bits match one draw.
+# Examples per float64 draw in encode's rate mode and gen_synthetic's bit
+# flips, which bounds that transient; Generator.random fills in C order, so
+# the bits match one draw.
 FLIP_BLOCK = 256
 
 

@@ -1,9 +1,11 @@
-"""Leaky integrate-and-fire network engine with full trace recording.
+"""Leaky integrate-and-fire network engine: full trace recording for
+training, and a record-free pass for inference.
 
 Implements dense and 2-D convolutional spiking layers, a forward pass that
-records every membrane potential and spike, and a manual backprop-through-time
-backward pass with a triangular surrogate gradient, in plain numpy with no
-autodiff framework underneath.
+records every membrane potential and spike, a manual backprop-through-time
+backward pass with a triangular surrogate gradient, and `infer`, which gives
+forward's logits and keeps no record, in plain numpy with no autodiff
+framework underneath.
 
 Precision rule: the engine computes in the dtype of its network's weights,
 float32 or float64 (`Network.astype` makes the other copy), and casts each
@@ -20,7 +22,11 @@ that im2col, the GEMMs and the backprojection's strided adds move rows of
 contiguous examples and, past the first conv layer's input, no layer
 transposes another's records.  A layer's errors inherit its records' order,
 since numpy's elementwise results follow their inputs' memory order.  A dense
-net stores every record (B, T, units), as it reads.
+net stores every record (B, T, units), as it reads.  `infer` follows the same
+rule: the layers forward stores examples-first run layer by layer as in
+forward, and from the first conv layer on (at B > 1) it runs time-major,
+holding one examples-last (*layer_shape, B) state per layer, so every GEMM
+it makes is one that forward makes.
 """
 
 from __future__ import annotations
@@ -95,14 +101,14 @@ class LayerSpec:
     @property
     def weight_shape(self) -> tuple[int, ...]:
         if self.kind == "dense":
-            return (self.units, int(np.prod(self.input_shape)))
+            return (self.units, math.prod(self.input_shape))
         k = self.kernel_size
         return (self.units, self.input_shape[0], k, k)
 
     @property
     def fan_in(self) -> int:
         if self.kind == "dense":
-            return int(np.prod(self.input_shape))
+            return math.prod(self.input_shape)
         return self.input_shape[0] * self.kernel_size * self.kernel_size
 
 
@@ -400,15 +406,23 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
     u = np.zeros_like(u_rec[:, 0])
     reset = np.empty_like(u)
     for t in range(t_steps):
-        u *= cfg.decay
-        u += u_rec[:, t]
-        if smooth:
-            o_rec[:, t] = soft_spike(u, cfg)
-        else:
-            np.greater_equal(u, cfg.threshold, out=o_rec[:, t])
-        u -= np.multiply(o_rec[:, t], cfg.threshold, out=reset)
+        _lif_step(u, u_rec[:, t], o_rec[:, t], reset, cfg, smooth)
         u_rec[:, t] = u
     return o_rec, u_rec, cols
+
+
+def _lif_step(u: Array, current: Array, spikes: Array, reset: Array,
+              cfg: NeuronConfig, smooth: bool = False) -> None:
+    """The engine's one LIF step, in place on the membrane u: decay,
+    integrate `current`, fire at >= theta into `spikes` (soft_spike when
+    smooth), subtract the reset; `reset` is scratch of u's shape."""
+    u *= cfg.decay
+    u += current
+    if smooth:
+        spikes[...] = soft_spike(u, cfg)
+    else:
+        np.greater_equal(u, cfg.threshold, out=spikes)
+    u -= np.multiply(spikes, cfg.threshold, out=reset)
 
 
 def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
@@ -436,23 +450,27 @@ def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
     return np.moveaxis(xp[:, :, p:p + h, p:p + wd], -1, 0)
 
 
-def check_data(net: Network, data: Array, labels: Array, cfg: NeuronConfig,
-               name: str = "batch") -> None:
+def check_data(net: Network, data: Array, labels: Array | None,
+               cfg: NeuronConfig, name: str = "batch") -> None:
     """The one rule for data a net runs on, batch or dataset: (N, T, ...) with
     N >= 1, T = cfg.time_steps and a per-step size that `fits` layer 0, and
-    N integer labels within the output layer's units; errors start `name`."""
-    shape, labels = np.shape(data), np.asarray(labels)
+    (unless labels is None) N integer labels within the output layer's
+    units; errors start `name`."""
+    shape = np.shape(data)
     if len(shape) < 3:
         raise ShapeError(f"{name} of shape {shape} is not (N, T, ...) spike data")
     if shape[1] != cfg.time_steps:
         raise ShapeError(f"{name} has {shape[1]} time steps, not the run's "
                          f"T = {cfg.time_steps}")
-    layer0, units = net.specs[0].input_shape, math.prod(net.specs[-1].output_shape)
+    layer0 = net.specs[0].input_shape
     if not fits(shape[2:], layer0):
         raise ShapeError(f"{name} input shape {shape[2:]} does not fit layer 0 "
                          f"input {layer0}")
     if shape[0] == 0:
         raise ValueError(f"{name} has no example")
+    if labels is None:
+        return
+    labels, units = np.asarray(labels), math.prod(net.specs[-1].output_shape)
     if labels.shape != shape[:1] or labels.dtype.kind not in "iu":
         raise ValueError(f"{name} labels must be one integer per example, "
                          f"got {labels.dtype} of shape {labels.shape}")
@@ -495,6 +513,53 @@ def forward(net: Network, encoded_input: Array, labels: Array, cfg: NeuronConfig
     trace = ForwardTrace(spikes=spikes, membranes=membranes, columns=columns)
     loss = LossOutput(per_example_loss=nll, logits=logits, probs=probs, labels=labels)
     return trace, loss
+
+
+def infer(net: Network, encoded_input: Array, cfg: NeuronConfig) -> Array:
+    """The logits of `forward(net, encoded_input, labels, cfg)`, bit for bit,
+    from a pass that keeps no record: (batch, classes) mean output spike
+    counts over T.  The input passes `check_data` (with no labels).
+
+    It follows forward's layout rule.  Layers that forward stores
+    examples-first (the dense layers before the first conv layer, and every
+    layer at batch 1) run as in forward, layer by layer through `run_layer`,
+    keeping only their spikes for the next layer: one GEMM over all B*T rows
+    is forward's own, and a GEMM over one step's B rows can round otherwise.
+    From the first conv layer on, the pass is time-major: at each step every
+    layer forms that step's current with forward's per-step GEMM (a conv
+    layer's im2col of one (1, C, H, W, B) step), runs `_lif_step` on one
+    examples-last state, and hands its spikes to the next layer; the last
+    layer's spikes add to a count.  So it holds one step's working set,
+    not B*T records."""
+    check_data(net, encoded_input, None, cfg)
+    batch, t_steps = np.shape(encoded_input)[:2]
+    kinds = [spec.kind for spec in net.specs]
+    head = kinds.index("conv2d") if "conv2d" in kinds and batch > 1 else len(net)
+    x = encoded_input
+    if head:
+        x = np.ascontiguousarray(x, dtype=net.dtype)
+        for spec, w in net.layers[:head]:
+            x = run_layer(spec, w, x, cfg)[0]
+        if head == len(net):
+            return x.reshape(batch, t_steps, -1).mean(axis=1)
+    layers = net.layers[head:]
+    # Per layer: its membrane, spikes and reset scratch, (*output_shape, B).
+    states = []
+    for spec, _ in layers:
+        u = np.zeros(spec.output_shape + (batch,), dtype=net.dtype)
+        states.append((u, np.empty_like(u), np.empty_like(u)))
+    count = np.zeros_like(states[-1][0])
+    for t in range(t_steps):
+        o = np.moveaxis(np.asarray(x[:, t], dtype=net.dtype).reshape(
+            (batch,) + layers[0][0].input_shape), 0, -1)
+        for (spec, w), (u, spikes, reset) in zip(layers, states):
+            cols = o.reshape(-1, batch) if spec.kind == "dense" else im2col(
+                o[None], spec.kernel_size, spec.stride, spec.padding)[0]
+            current = np.matmul(w.reshape(w.shape[0], -1), cols)
+            _lif_step(u, current.reshape(u.shape), spikes, reset, cfg)
+            o = spikes
+        count += o
+    return np.moveaxis(count, -1, 0).reshape(batch, -1) / t_steps
 
 
 def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,

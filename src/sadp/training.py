@@ -20,7 +20,8 @@ import numpy as np
 from .data import DatasetHandle, MetricsRow
 from .pruning import (NO_PRUNING, PruneConfig, loss_score,
                       resolve_score_layers, select, spike_aware_score)
-from .snn import Array, NeuronConfig, Network, backward_bptt, check_data, forward
+from .snn import (Array, NeuronConfig, Network, backward_bptt, check_data,
+                  forward, infer)
 
 logger = logging.getLogger(__name__)
 
@@ -90,14 +91,15 @@ ENGINE_DTYPE = np.float32  # the dtype training runs the engine in
 
 def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
     """Classification accuracy on a pre-encoded dataset, in net's dtype: the
-    argmax of forward's logits, EVAL_BATCH examples at a time, once the whole
-    dataset passes `check_data`."""
+    argmax of `infer`'s logits (forward's, bit for bit, with no record kept),
+    EVAL_BATCH examples at a time, once the whole dataset passes
+    `check_data`."""
     check_data(net, handle.data, handle.labels, cfg, "dataset")
     correct = 0
     for start in range(0, handle.n, EVAL_BATCH):
         labels = handle.labels[start:start + EVAL_BATCH]
-        _, loss = forward(net, handle.data[start:start + EVAL_BATCH], labels, cfg)
-        correct += int((loss.logits.argmax(axis=1) == labels).sum())
+        logits = infer(net, handle.data[start:start + EVAL_BATCH], cfg)
+        correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / handle.n
 
 

@@ -835,6 +835,19 @@ class TestAnalyzeCommand:
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot read weights {path}: ")
 
+    def test_a_huge_input_shape_reports_the_real_size_mismatch(self, tmp_path,
+                                                               capsys):
+        """A dense layer on a (2**32, 2**32) input has 2**64 inputs: sized
+        exactly, not wrapped to 0 in int64 and refused as having none."""
+        path = tmp_path / "w.npz"
+        np.savez(path, arch=np.array("dense:4"),
+                 input_shape=np.array([2**32, 2**32]),
+                 w0=np.zeros((4, 16)))
+        assert main(["analyze"] + self.common_args(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read weights {path}: weight shape (4, 16) != "
+            f"expected (4, {2**64})"]
+
     def test_missing_weights_file_is_usage_error(self, tmp_path, capsys):
         common = self.common_args(tmp_path)
         assert main(["analyze"] + common) == EXIT_USAGE

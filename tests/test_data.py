@@ -98,6 +98,23 @@ class TestEncode:
         np.testing.assert_array_equal(spikes, encode(x, "rate", 8, seed=5))
         assert spikes.dtype == np.uint8 and set(np.unique(spikes)) == {0, 1}
 
+    def test_rate_drawn_in_blocks(self):
+        """Rate spikes are drawn FLIP_BLOCK examples at a time, N here not a
+        multiple of it: the bits are those of one float64 draw over the whole
+        (N, T, ...) set, and the peak stays under three times the spikes'
+        bytes, where that one draw is eight times them."""
+        n = 9 * data_module.FLIP_BLOCK + 7
+        x = np.random.default_rng(1).random((n, 8, 8))
+        tracemalloc.start()
+        try:
+            spikes = encode(x, "rate", 8, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * spikes.nbytes
+        one_draw = np.random.default_rng(4).random((n, 8, 8, 8)) < x[:, None]
+        np.testing.assert_array_equal(spikes, one_draw.view(np.uint8))
+
     @pytest.mark.parametrize("mode", ["direct", "rate"])
     def test_empty_input_encodes_to_empty(self, mode):
         assert encode(np.zeros((0, 2, 2)), mode, 3).shape == (0, 3, 2, 2)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -437,6 +438,73 @@ class TestEngine:
         bt = backward_bptt(net, trace, loss, cfg)
         bt.weight_grads(rng.random(6))
         assert counts == {"im2col": 2}
+
+
+class TestInfer:
+    """infer, the record-free inference pass, gives forward's logits bit for
+    bit, and evaluate through it holds one step's working set."""
+
+    NETS = {
+        "dense": [("dense", (12,), 20), ("dense", (20,), 4)],
+        "conv s2p1, conv": [("conv2d", (2, 9, 9), 4, 3, 2, 1),
+                            ("conv2d", (4, 5, 5), 3, 3)],
+        "conv s2p1, conv, dense": [("conv2d", (2, 9, 9), 4, 3, 2, 1),
+                                   ("conv2d", (4, 5, 5), 4, 3, 1, 1),
+                                   ("dense", (4, 5, 5), 4)],
+        "dense, conv, dense": [("dense", (12,), 18),
+                               ("conv2d", (2, 3, 3), 3, 2),
+                               ("dense", (3, 2, 2), 4)]}
+
+    @pytest.mark.parametrize("data", ["uint8", "static"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2, EVAL_BATCH + 7])
+    @pytest.mark.parametrize("case", list(NETS))
+    def test_logits_are_forwards_bit_for_bit(self, case, batch, dtype, data):
+        rng = np.random.default_rng(8)
+        specs = [LayerSpec(*args) for args in self.NETS[case]]
+        net = Network([(spec, rng.uniform(-1.5, 1.5, spec.weight_shape))
+                       for spec in specs]).astype(dtype)
+        cfg = make_cfg(threshold=0.5, time_steps=4)
+        shape = (batch, 4) + specs[0].input_shape
+        if data == "uint8":
+            x = (rng.random(shape) < 0.5).view(np.uint8)
+        else:  # a static input, held once as a stride-0 view over T
+            x = np.broadcast_to(rng.random((batch, 1) + shape[2:]), shape)
+        _, loss = forward(net, x, np.zeros(batch, dtype=int), cfg)
+        logits = snn.infer(net, x, cfg)
+        assert 0.0 < loss.logits.mean() < 1.0  # the output layer fires
+        assert logits.dtype == loss.logits.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(logits, loss.logits)
+
+    def test_infer_checks_its_input(self):
+        net = Network.from_arch("conv:4x3x3,dense:4", (1, 6, 6), seed=1)
+        with pytest.raises(ShapeError, match="^batch has 3 time steps"):
+            snn.infer(net, np.zeros((2, 3, 1, 6, 6)), make_cfg(time_steps=2))
+
+    def test_evaluate_peak_is_a_fraction_of_one_forward(self):
+        """Under tracemalloc, evaluate over three slices of a conv set at
+        T = 8 peaks below 0.3 of one forward on an EVAL_BATCH slice.  The
+        bound comes from four other conv nets: 0.15-0.18 at T = 6-10 and
+        0.38 at T = 3; evaluate through forward read 1.95-1.99."""
+        net = Network.from_arch("conv:6x3x3s2p1,conv:6x3x3p1,dense:4",
+                                (2, 10, 10), seed=7, init_scale=2.0
+                                ).astype(np.float32)
+        cfg = make_cfg(threshold=0.5, time_steps=8)
+        rng = np.random.default_rng(7)
+        n = 2 * EVAL_BATCH + 5
+        x = (rng.random((n, 8, 2, 10, 10)) < 0.4).view(np.uint8)
+        labels = rng.integers(0, 4, n)
+        handle = DatasetHandle(x, labels, time_steps=8)
+        peaks = []
+        for run in (lambda: forward(net, x[:EVAL_BATCH], labels[:EVAL_BATCH], cfg),
+                    lambda: evaluate(net, handle, cfg)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.3 * peaks[0]
 
 
 class TestPatchCount:

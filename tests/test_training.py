@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sadp import oracle, pruning, training
+from sadp import oracle, pruning, snn, training
 from sadp.data import gen_synthetic_split
 from sadp.pruning import PruneConfig
 from sadp.snn import BackwardTrace, NeuronConfig, Network, forward
@@ -433,6 +433,19 @@ class TestRunTraining:
         expected = float(np.mean(lo.logits.argmax(axis=1) == train.labels))
         assert 0.0 < expected < 1.0
         assert evaluate(net, train, ncfg) == expected
+
+    def test_evaluate_runs_no_forward_pass(self, monkeypatch):
+        """evaluate scores through snn.infer, which keeps no record."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(training, "forward", spy)
+        monkeypatch.setattr(snn, "forward", spy)
+        net, train, _, ncfg = small_problem(n=2 * EVAL_BATCH + 7)
+        assert 0.0 < evaluate(net, train, ncfg) < 1.0
+        assert calls == []
 
     def test_evaluate_bounds(self):
         net, train, test, ncfg = small_problem()
