@@ -74,7 +74,8 @@ def parse_config(path: str | None = None,
                  overrides: list[str] | None = None) -> dict:
     """Read a key=value config file plus command-line overrides.
 
-    Lines are `key = value`; `#` starts a comment; unknown keys are rejected.
+    Lines are `key = value`; `#` starts a comment; unknown keys are rejected,
+    and so are a time-step count or an input size below 1.
     """
     values = {k: d for k, (_, d) in KNOWN_KEYS.items()}
     pairs: list[tuple[str, str]] = []
@@ -114,6 +115,10 @@ def parse_config(path: str | None = None,
         values["prune.beta"] = default_beta(values["prune.ratio"])
     if values["encode.mode"] not in ("direct", "rate"):
         raise UsageError("encode.mode must be direct or rate")
+    for key in ("dataset.synthetic.t", "dataset.synthetic.dim"):
+        if values[key] < 1:
+            raise UsageError(f"invalid config: {key} must be >= 1, "
+                             f"got {values[key]}")
     return values
 
 

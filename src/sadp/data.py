@@ -197,16 +197,21 @@ def gen_synthetic_split(classes: int, n_train: int, n_test: int, time_steps: int
 
 
 def write_spike_file(handle: DatasetHandle, path: str) -> None:
-    """Serialize a binary spike dataset to the SPKT container."""
+    """Serialize a binary spike dataset to the SPKT container.  Its labels
+    are stored as u32, so each must be an integer in [0, 2**32)."""
     data = np.asarray(handle.data)
     if not np.all((data == 0.0) | (data == 1.0)):
         raise ValueError("SPKT stores binary spike data only")
+    labels = np.asarray(handle.labels)
+    fits_u32 = (labels >= 0) & (labels < 2**32) & (labels == np.trunc(labels))
+    if not fits_u32.all():
+        raise ValueError(f"SPKT label {labels[~fits_u32][0]} is not an integer "
+                         "in [0, 2**32)")
     dims = data.shape
     head = SPKT_MAGIC + struct.pack("<HBB", SPKT_VERSION, 0, len(dims))
     head += struct.pack(f"<{len(dims)}Q", *dims)
     payload = data.astype(np.uint8, copy=False).tobytes(order="C")
-    labels = np.asarray(handle.labels, dtype="<u4").tobytes()
-    atomic_write_bytes(path, head + payload + labels)
+    atomic_write_bytes(path, head + payload + labels.astype("<u4").tobytes())
 
 
 def read_spike_file(path: str) -> DatasetHandle:

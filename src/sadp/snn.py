@@ -23,10 +23,10 @@ contiguous examples and, past the first conv layer's input, no layer
 transposes another's records.  A layer's errors inherit its records' order,
 since numpy's elementwise results follow their inputs' memory order.  A dense
 net stores every record (B, T, units), as it reads.  `infer` follows the same
-rule: the layers forward stores examples-first run layer by layer as in
-forward, and from the first conv layer on (at B > 1) it runs time-major,
-holding one examples-last (*layer_shape, B) state per layer, so every GEMM
-it makes is one that forward makes.
+rule through the same `run_layer`: the layers forward stores examples-first
+run whole-T as in forward, and from the first conv layer on (at B > 1) it
+steps `run_layer` through time, one step per call, carrying one examples-last
+membrane per layer, so every GEMM it makes is one that forward makes.
 """
 
 from __future__ import annotations
@@ -372,7 +372,8 @@ def _stored_examples_last(record: Array) -> bool:
 
 
 def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
-              smooth: bool = False) -> tuple[Array, Array, Array | None]:
+              smooth: bool = False, u: Array | None = None
+              ) -> tuple[Array, Array, Array | None]:
     """One layer over all T steps of its inputs (B, T, *input_shape).
 
     The synaptic current of every step is one GEMM, written into the
@@ -382,11 +383,13 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
     where cols, (T, fan_in, P*B), is a conv layer's im2col of its input and a
     dense layer's input view.  Other dense layers form it as one GEMM
     over the B*T input rows.  The LIF loop is the engine's one recurrence:
-    decay, integrate, fire at >= theta, subtract the reset, in place on a
-    state held in the record's memory order; smooth=True only swaps the hard
-    threshold for soft_spike.  Returns the spikes and post-reset membranes,
-    (B, T, *output_shape) each, and the cols (None for a dense layer stored
-    examples-first).
+    decay, integrate, fire at >= theta, subtract the reset, in place on the
+    membrane u, (B, *output_shape); u=None starts it at zero, in the
+    record's memory order, and a given u is advanced in place, so that
+    `infer` can run one step at a time and carry it to the next.
+    smooth=True only swaps the hard threshold for soft_spike.  Returns the
+    spikes and post-reset membranes, (B, T, *output_shape) each, and the
+    cols (None for a dense layer stored examples-first).
     """
     b, t_steps = inputs.shape[:2]
     cols = None
@@ -403,26 +406,19 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
                   out=u_store.reshape(t_steps, w.shape[0], -1))
         u_rec = np.moveaxis(u_store, -1, 0)
     o_rec = np.empty_like(u_rec)
-    u = np.zeros_like(u_rec[:, 0])
+    if u is None:
+        u = np.zeros_like(u_rec[:, 0])
     reset = np.empty_like(u)
     for t in range(t_steps):
-        _lif_step(u, u_rec[:, t], o_rec[:, t], reset, cfg, smooth)
+        u *= cfg.decay
+        u += u_rec[:, t]
+        if smooth:
+            o_rec[:, t] = soft_spike(u, cfg)
+        else:
+            np.greater_equal(u, cfg.threshold, out=o_rec[:, t])
+        u -= np.multiply(o_rec[:, t], cfg.threshold, out=reset)
         u_rec[:, t] = u
     return o_rec, u_rec, cols
-
-
-def _lif_step(u: Array, current: Array, spikes: Array, reset: Array,
-              cfg: NeuronConfig, smooth: bool = False) -> None:
-    """The engine's one LIF step, in place on the membrane u: decay,
-    integrate `current`, fire at >= theta into `spikes` (soft_spike when
-    smooth), subtract the reset; `reset` is scratch of u's shape."""
-    u *= cfg.decay
-    u += current
-    if smooth:
-        spikes[...] = soft_spike(u, cfg)
-    else:
-        np.greater_equal(u, cfg.threshold, out=spikes)
-    u -= np.multiply(spikes, cfg.threshold, out=reset)
 
 
 def _backproject(spec: LayerSpec, w: Array, delta: Array) -> Array:
@@ -520,17 +516,17 @@ def infer(net: Network, encoded_input: Array, cfg: NeuronConfig) -> Array:
     from a pass that keeps no record: (batch, classes) mean output spike
     counts over T.  The input passes `check_data` (with no labels).
 
-    It follows forward's layout rule.  Layers that forward stores
-    examples-first (the dense layers before the first conv layer, and every
-    layer at batch 1) run as in forward, layer by layer through `run_layer`,
-    keeping only their spikes for the next layer: one GEMM over all B*T rows
-    is forward's own, and a GEMM over one step's B rows can round otherwise.
-    From the first conv layer on, the pass is time-major: at each step every
-    layer forms that step's current with forward's per-step GEMM (a conv
-    layer's im2col of one (1, C, H, W, B) step), runs `_lif_step` on one
-    examples-last state, and hands its spikes to the next layer; the last
-    layer's spikes add to a count.  So it holds one step's working set,
-    not B*T records."""
+    It follows forward's layout rule and runs every layer through
+    `run_layer`.  Layers that forward stores examples-first (the dense
+    layers before the first conv layer, and every layer at batch 1) run
+    whole-T, as in forward, keeping only their spikes for the next layer:
+    one GEMM over all B*T rows is forward's own, and a GEMM over one step's
+    B rows can round otherwise.  From the first conv layer on, the pass is
+    time-major: at each step every layer runs `run_layer` on that one step,
+    advancing its own examples-last membrane, and hands its spikes to the
+    next layer; the last layer's spikes add to a count.  So every GEMM is
+    one that forward makes, and the pass holds one step's working set, not
+    B*T records."""
     check_data(net, encoded_input, None, cfg)
     batch, t_steps = np.shape(encoded_input)[:2]
     kinds = [spec.kind for spec in net.specs]
@@ -543,23 +539,15 @@ def infer(net: Network, encoded_input: Array, cfg: NeuronConfig) -> Array:
         if head == len(net):
             return x.reshape(batch, t_steps, -1).mean(axis=1)
     layers = net.layers[head:]
-    # Per layer: its membrane, spikes and reset scratch, (*output_shape, B).
-    states = []
-    for spec, _ in layers:
-        u = np.zeros(spec.output_shape + (batch,), dtype=net.dtype)
-        states.append((u, np.empty_like(u), np.empty_like(u)))
-    count = np.zeros_like(states[-1][0])
+    membranes = [np.moveaxis(np.zeros(spec.output_shape + (batch,), net.dtype),
+                             -1, 0) for spec, _ in layers]
+    count = np.zeros((batch, 1) + net.specs[-1].output_shape, net.dtype)
     for t in range(t_steps):
-        o = np.moveaxis(np.asarray(x[:, t], dtype=net.dtype).reshape(
-            (batch,) + layers[0][0].input_shape), 0, -1)
-        for (spec, w), (u, spikes, reset) in zip(layers, states):
-            cols = o.reshape(-1, batch) if spec.kind == "dense" else im2col(
-                o[None], spec.kernel_size, spec.stride, spec.padding)[0]
-            current = np.matmul(w.reshape(w.shape[0], -1), cols)
-            _lif_step(u, current.reshape(u.shape), spikes, reset, cfg)
-            o = spikes
+        o = np.asarray(x[:, t:t + 1], dtype=net.dtype)
+        for (spec, w), u in zip(layers, membranes):
+            o = run_layer(spec, w, o, cfg, u=u)[0]
         count += o
-    return np.moveaxis(count, -1, 0).reshape(batch, -1) / t_steps
+    return count.reshape(batch, -1) / t_steps
 
 
 def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,

@@ -117,8 +117,8 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
     past float32's range raises NumericDivergenceError.  net is written once,
     after the last epoch, so a run that raises leaves it as it was.
     Unless the score kind is uniform, each trained example's score is
-    refreshed from its backward pass.  An epoch that selects nothing writes a
-    row of NaN loss and accuracy.
+    refreshed from its backward pass.  An epoch that selects nothing trains
+    nothing: its row's loss is NaN, and its accuracy that of the unchanged net.
     """
     pcfg = pcfg or NO_PRUNING
     for name, handle in (("train set", train), ("test set", test)):
@@ -163,13 +163,11 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             loss_sum += float((w_batch * lo.per_example_loss).sum())
 
         processed = int(sel.indices.size)
-        if processed:
-            train_loss = loss_sum / processed
-            test_acc = evaluate(engine, test, ncfg) if test is not None else math.nan
-        else:
+        if not processed:
             logger.warning("epoch %d: no examples selected (r_k=%.3f); skipped",
                            k, sel.ratio)
-            train_loss = test_acc = math.nan
+        train_loss = loss_sum / processed if processed else math.nan
+        test_acc = evaluate(engine, test, ncfg) if test is not None else math.nan
         metrics.append(MetricsRow(
             epoch=k, ratio=sel.ratio, processed=processed,
             train_loss=train_loss, test_acc=test_acc,

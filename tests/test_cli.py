@@ -144,12 +144,15 @@ class TestConfig:
         ("train", "neuron.surrogate_width=inf"), ("train", "train.lr=nan"),
         ("train", "train.lr=inf"), ("train", "train.weight_decay=nan"),
         ("analyze", "neuron.threshold=nan"),
-        ("analyze", "neuron.surrogate_width=inf")])
+        ("analyze", "neuron.surrogate_width=inf"),
+        ("train", "dataset.synthetic.t=0"), ("train", "dataset.synthetic.t=-1"),
+        ("train", "dataset.synthetic.dim=-2"),
+        ("gen-data", "dataset.path=x.spkt dataset.synthetic.t=-1")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                monkeypatch, command, override):
         """An out-of-range config value exits 2 with one error line, also
         for a prune.* key of a run that does not prune.  `override` holds
-        one or more space-separated overrides."""
+        one or more space-separated overrides; a size key below 1 is named."""
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, BASE_CFG + "prune.enabled = true\n")
         if command == "analyze":  # analyze reads the weights first
@@ -164,6 +167,9 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: invalid config: ")
+        key = override.split()[-1].partition("=")[0]
+        if key in ("dataset.synthetic.t", "dataset.synthetic.dim"):
+            assert err[0].startswith(f"error: invalid config: {key} must be >= 1")
 
     def test_score_layers(self):
         assert parse_score_layers("last", 3) == (2,)
@@ -315,6 +321,16 @@ class TestIdxDataset:
             again = np.concatenate([h.data for h in load_dataset(cfg)])
             np.testing.assert_array_equal(data, again)  # seeded by seed.init
             assert abs(data.mean() - pixels.mean()) < 0.02
+
+    def test_negative_time_steps_name_the_key(self, tmp_path, capsys):
+        """A negative dataset.synthetic.t is the config's fault, not the
+        file's: one error line names the key."""
+        assert main(["train", "-o", f"dataset.path={idx_pair(tmp_path)}",
+                     "-o", "dataset.synthetic.t=-1",
+                     "-o", f"out.metrics={tmp_path}/m.csv",
+                     "-o", f"out.weights={tmp_path}/w.npz"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid config: dataset.synthetic.t must be >= 1, got -1"]
 
     @pytest.mark.parametrize("arch", ["dense:12,dense:4", "conv:4x3x3p1,dense:4"])
     @pytest.mark.parametrize("mode", ["direct", "rate"])

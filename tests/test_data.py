@@ -231,6 +231,20 @@ class TestSpikeFile:
         with pytest.raises(ValueError):
             write_spike_file(h, str(tmp_path / "x.spkt"))
 
+    @pytest.mark.parametrize("labels, named", [
+        (np.array([-1, 2**32 + 1]), "label -1 "),
+        (np.array([0, 2**32 + 1]), f"label {2**32 + 1} "),
+        (np.array([0.0, 1.5]), "label 1.5 "), (np.array([np.nan]), "label nan ")])
+    def test_rejects_a_label_u32_cannot_hold(self, tmp_path, labels, named):
+        """A label outside [0, 2**32), or not an integer, is named and nothing
+        is written: as u32 it would wrap or truncate to another label."""
+        h = DatasetHandle(data=np.zeros((labels.size, 1, 3)), labels=labels,
+                          time_steps=1)
+        p = tmp_path / "l.spkt"
+        with pytest.raises(ValueError, match=named):
+            write_spike_file(h, str(p))
+        assert not p.exists()
+
 
 class TestMetrics:
     def test_header_and_row_format(self, tmp_path):

@@ -416,6 +416,35 @@ class TestEngine:
         np.testing.assert_array_equal(im2col(examples_first, kernel, stride, pad),
                                       cols)
 
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer, examples_last", [
+        (("dense", (12,), 5), False), (("conv2d", (2, 9, 9), 4, 3, 2, 1), False),
+        (("dense", (4, 5, 5), 4), True)], ids=[
+            "dense examples-first", "conv s2p1", "dense examples-last"])
+    def test_one_step_calls_carrying_the_membrane_match_one_call(
+            self, layer, examples_last, dtype, smooth):
+        """run_layer over T steps equals T one-step calls that advance one
+        given membrane in place, bit for bit, and that membrane ends as the
+        last post-reset one.  Weights are multiples of 1/8 on 0/1 inputs, so
+        every current is exact whatever the shape of its GEMM."""
+        rng = np.random.default_rng(6)
+        spec = LayerSpec(*layer)
+        w = (rng.integers(-8, 9, spec.weight_shape) / 8).astype(dtype)
+        cfg = make_cfg(decay=0.6, threshold=0.5, time_steps=4)
+        x = (rng.random((7, 4) + spec.input_shape) < 0.5).astype(dtype)
+        if examples_last:
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+        o, u_rec, cols = run_layer(spec, w, x, cfg, smooth)
+        assert (cols is None) == (spec.kind == "dense" and not examples_last)
+        assert 0.0 < o.mean() < 1.0
+        u = np.zeros((7,) + spec.output_shape, dtype)
+        for t in range(4):
+            o_t, u_t, _ = run_layer(spec, w, x[:, t:t + 1], cfg, smooth, u)
+            np.testing.assert_array_equal(o_t[:, 0], o[:, t])
+            np.testing.assert_array_equal(u_t[:, 0], u_rec[:, t])
+        np.testing.assert_array_equal(u, u_rec[:, -1])
+
     def test_one_im2col_per_conv_layer_and_none_in_weight_grads(self, monkeypatch):
         counts = {"im2col": 0}
 

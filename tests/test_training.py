@@ -233,8 +233,9 @@ class TestRunTraining:
                 for r in rows] == [(0.25, 3, 0.125, 3)] * 2
 
     def test_empty_target_epoch_is_skipped(self):
-        """An epoch whose target rounds to 0 trains nothing and writes a row
-        of NaNs; the run still returns a row for every epoch."""
+        """An epoch whose target rounds to 0 trains nothing: its loss is NaN
+        and its accuracy is the unchanged net's, the previous row's; the run
+        still returns a row for every epoch."""
         net, train, test, ncfg = small_problem()
         pcfg = PruneConfig(ratio=0.9, max_ratio=1.0, smoothing_constant=0.05)
         rows = run_training(net, train, test, ncfg, pcfg, train_cfg(3))
@@ -243,7 +244,8 @@ class TestRunTraining:
         last = rows[-1]
         assert int(round((1.0 - last.ratio) * train.n)) == 0
         assert last.processed == 0
-        assert math.isnan(last.train_loss) and math.isnan(last.test_acc)
+        assert math.isnan(last.train_loss)
+        assert last.test_acc == rows[-2].test_acc
         assert last.gamma == 0.0 and last.solver_iters == 0
 
     def test_training_keeps_no_per_example_gradients(self, monkeypatch):
