@@ -37,8 +37,10 @@ TRIM_THRESHOLD = 64 * 2**20
 
 
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("SADP_LOG", "error"), logging.ERROR)
+    """Log at SADP_LOG's level: error, warning (the default), info or debug."""
+    level = {"error": logging.ERROR, "warning": logging.WARNING,
+             "info": logging.INFO, "debug": logging.DEBUG
+             }.get(os.environ.get("SADP_LOG", "warning"), logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -2,11 +2,14 @@
 score refresh and evaluation.
 
 Training follows the mixed-precision recipe: a run steps a private float64
-master copy of the caller's weights, runs the engine on one float32 copy
-(ENGINE_DTYPE) refreshed in place after each update, and writes the caller's
-net once, after the last epoch.  The master copy pays: late in a 30-epoch
-cosine schedule up to 5.8% of the nonzero updates per epoch are below half a
-float32 ulp of their weight, and would round away (BENCH_float32_only.json)."""
+master copy of the caller's weights, whatever their dtype, runs the engine on
+one float32 copy (ENGINE_DTYPE) refreshed in place after each update, and
+writes the caller's net once, after the last epoch.  The master copy pays:
+late in a 30-epoch cosine schedule up to 5.8% of the nonzero updates per epoch
+are below half a float32 ulp of their weight, and would round away
+(BENCH_float32_only.json).  A step's forward and backward records are released
+before the next step runs, so training peaks at one step's working set
+(BENCH_step_records.json)."""
 
 from __future__ import annotations
 
@@ -111,11 +114,13 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
     Train and test pass `check_data` and hold only finite values, and pcfg's
     score layers `resolve_score_layers`, before epoch 1.  Each epoch runs
     weighted mini-batch SGD on the examples and loss weights `pruning.select`
-    draws from the (stale) scores.  sgd_step updates a private copy of net's
-    weights and the momentum in place; the steps and evaluate run on one
-    ENGINE_DTYPE engine refreshed in place after each update, and an update
-    past float32's range raises NumericDivergenceError.  net is written once,
-    after the last epoch, so a run that raises leaves it as it was.
+    draws from the (stale) scores.  sgd_step updates a private float64 copy
+    of net's weights and the momentum in place; the steps and evaluate run on
+    one ENGINE_DTYPE engine refreshed in place after each update, and an
+    update past float32's range raises NumericDivergenceError.  Each step's
+    records are released before the next step runs.  net is written once, in
+    its own dtype, after the last epoch, so a run that raises leaves it as it
+    was.
     Unless the score kind is uniform, each trained example's score is
     refreshed from its backward pass.  An epoch that selects nothing trains
     nothing: its row's loss is NaN, and its accuracy that of the unchanged net.
@@ -128,7 +133,7 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             if not np.isfinite([handle.data.min(), handle.data.max()]).all():
                 raise ValueError(f"{name} holds a non-finite value")
     score_layers = resolve_score_layers(pcfg.score_layers, len(net))
-    master = [w.copy() for w in net.weights]
+    master = [w.astype(np.float64) for w in net.weights]
     buffers = [np.zeros_like(w) for w in master]
     # Equal scores before the first backward pass: epoch 1 samples uniformly.
     scores = np.ones(train.n)
@@ -161,6 +166,8 @@ def run_training(net: Network, train: DatasetHandle, test: DatasetHandle | None,
             elif pcfg.score == "loss":
                 scores[idx] = loss_score(lo)
             loss_sum += float((w_batch * lo.per_example_loss).sum())
+            # Free this step's records before the next forward builds its own.
+            del trace, btrace
 
         processed = int(sel.indices.size)
         if not processed:

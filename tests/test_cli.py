@@ -279,6 +279,32 @@ class TestTrainCommand:
         assert not (tmp_path / "m.csv").exists()
         assert not (tmp_path / "w.npz").exists()
 
+    @pytest.mark.parametrize("sadp_log", [None, "error"])
+    def test_warnings_show_unless_quieted(self, tmp_path, sadp_log):
+        """In a fresh process, a run whose last epoch selects nothing and
+        whose smoothing floor is infeasible prints both WARNING lines by
+        default; SADP_LOG=error prints neither."""
+        env = dict(os.environ, PYTHONPATH=str(Path(sadp.__file__).parents[1]))
+        env.pop("SADP_LOG", None)
+        if sadp_log is not None:
+            env["SADP_LOG"] = sadp_log
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from sadp import cli; sys.exit(cli.main(sys.argv[1:]))",
+             "train", "-o", "dataset.synthetic.n=200", "-o", "train.epochs=5",
+             "-o", "prune.enabled=true", "-o", "prune.ratio=0.9",
+             "-o", f"out.metrics={tmp_path}/m.csv",
+             "-o", f"out.weights={tmp_path}/w.npz"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("trained 5 epochs;")
+        warnings = ["WARNING sadp.training: epoch 5: no examples selected",
+                    "WARNING sadp.pruning: smoothing constant"]
+        if sadp_log is None:
+            assert all(w in proc.stderr for w in warnings), proc.stderr
+        else:
+            assert proc.stderr == ""
+
 
 def idx_bytes(dims, payload, rank=None):
     """An IDX u8 file's bytes, with a header that declares `rank` dims."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,10 +260,13 @@ class TestRunTraining:
         pcfg = PruneConfig(ratio=0.5, max_ratio=0.7, smoothing_constant=0.3)
         assert len(run_training(net, train, test, ncfg, pcfg, train_cfg(2))) == 2
 
-    def test_float32_engine_on_float64_master_weights(self, monkeypatch):
+    @pytest.mark.parametrize("caller_dtype", [np.float64, np.float32])
+    def test_float32_engine_on_float64_master_weights(self, monkeypatch,
+                                                      caller_dtype):
         """Forward, backward and evaluate run on a float32 engine; SGD steps
         the run's own float64 master weights with one list of float64
-        buffers, and the caller's net ends equal to that master bit for bit."""
+        buffers, whatever the caller's dtype, and the caller's net ends equal
+        to that master rounded to its own dtype."""
         seen, steps = [], []
 
         def sgd_spy(weights, grads, buffers, *args):
@@ -279,6 +283,7 @@ class TestRunTraining:
             monkeypatch.setattr(f"sadp.training.{name}",
                                 recording(getattr(training, name)))
         net, train, test, ncfg = small_problem()
+        net = net.astype(caller_dtype)
         callers = net.weights
         run_training(net, train, test, ncfg, None, train_cfg(2))
         assert {name for name, _ in seen} == {"forward", "backward_bptt",
@@ -290,9 +295,9 @@ class TestRunTraining:
             assert weights is master and bufs is buffers
         assert not any(m is w for m in master for w in callers)
         for w, m, c, buf in zip(net.weights, master, callers, buffers):
-            assert w is c
+            assert w is c and w.dtype == caller_dtype
             assert m.dtype == buf.dtype == np.float64
-            np.testing.assert_array_equal(w, m)
+            np.testing.assert_array_equal(w, m.astype(caller_dtype))
             assert np.any(m != m.astype(np.float32))
             assert np.any(buf != buf.astype(np.float32))
 
@@ -416,6 +421,41 @@ class TestRunTraining:
             ratio=0.3, max_ratio=0.5, smoothing_constant=0.3, score=score)
         run_training(net, train, test, ncfg, pcfg, train_cfg(3))
         assert bool(calls) == (score == "spike_aware")
+
+    def test_training_peak_is_one_step(self):
+        """Under tracemalloc, a spike-scored epoch of four conv steps at
+        B = 32 peaks below 1.25 of one step on the same engine (forward,
+        backward, weight_grads and score): a step's records are gone before
+        the next forward.  The bound comes from five other conv nets, which
+        read 1.006-1.044 at T = 8; holding the previous step's records until
+        the next step had built its own read 1.65-1.76."""
+        net = Network.from_arch("conv:5x3x3p1,conv:4x3x3s2,dense:4",
+                                (2, 8, 8), seed=3, init_scale=2.0)
+        ncfg = NeuronConfig(decay=0.2, threshold=0.5, time_steps=6)
+        rng = np.random.default_rng(3)
+        n, b = 3 * 32 + 5, 32
+        x = (rng.random((n, 6, 2, 8, 8)) < 0.4).view(np.uint8)
+        labels = rng.integers(0, 4, n)
+        train = DatasetHandle(x, labels, time_steps=6)
+        pcfg = PruneConfig(ratio=0.0, max_ratio=0.0)  # every example, scored
+        engine = net.astype(training.ENGINE_DTYPE)
+
+        def one_step():
+            trace, lo = forward(engine, x[:b], labels[:b], ncfg)
+            btrace = snn.backward_bptt(engine, trace, lo, ncfg)
+            btrace.weight_grads(example_weights=np.ones(b))
+            pruning.spike_aware_score(btrace, (len(net) - 1,))
+        peaks = []
+        for run in (one_step, lambda: run_training(
+                net, train, None, ncfg, pcfg,
+                TrainConfig(epochs=1, batch_size=b, lr=0.05, momentum=0.9))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_epoch_count_must_not_be_negative(self):
         with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
