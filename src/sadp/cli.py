@@ -293,6 +293,25 @@ def cmd_gen_data(cfg: dict) -> int:
 
 COMMANDS = {"train": cmd_train, "verify": cmd_verify, "analyze": cmd_analyze,
             "gen-data": cmd_gen_data}
+# The config keys that name the files each command writes.
+OUTPUTS = {"train": ("out.metrics", "out.weights"), "verify": ("out.report",),
+           "analyze": ("out.report",), "gen-data": ("dataset.path",)}
+
+
+def _check_outputs(cfg: dict, keys: tuple[str, ...]) -> None:
+    """Each output path must name a file in an existing, writable directory,
+    checked before any work, so that a bad path costs no run."""
+    for key in keys:
+        path = cfg[key]
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise UsageError(f"cannot write {key} {path}: no directory "
+                             f"{directory}")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise UsageError(f"cannot write {key} {path}: directory "
+                             f"{directory} is not writable")
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {key} {path}: it is a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -310,6 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides)
+        _check_outputs(cfg, OUTPUTS[args.command])
         return COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .pruning import ConfigError, resolve_score_layers
@@ -70,12 +72,17 @@ def default_max_ratio(ratio: float) -> float:
     return float(max(ratio, np.interp(ratio, _RATIO_ANCHORS, _RMAX_ANCHORS)))
 
 
+COMMENT = re.compile(r"(?<!\S)#")  # a `#` at a line's start or after whitespace
+
+
 def parse_config(path: str | None = None,
                  overrides: list[str] | None = None) -> dict:
     """Read a key=value config file plus command-line overrides.
 
-    Lines are `key = value`; `#` starts a comment; unknown keys are rejected,
-    and so are a time-step count or an input size below 1.
+    Lines are `key = value`; a `#` at the start of a line or after
+    whitespace starts a comment, so a value may hold one (`run#2.npz`);
+    unknown keys are rejected, and so are a time-step count or an input size
+    below 1.
     """
     values = {k: d for k, (_, d) in KNOWN_KEYS.items()}
     pairs: list[tuple[str, str]] = []
@@ -83,7 +90,7 @@ def parse_config(path: str | None = None,
         try:
             with open(path) as fh:
                 for lineno, line in enumerate(fh, 1):
-                    line = line.split("#", 1)[0].strip()
+                    line = COMMENT.split(line, 1)[0].strip()
                     if not line:
                         continue
                     if "=" not in line:

@@ -22,11 +22,9 @@ that im2col, the GEMMs and the backprojection's strided adds move rows of
 contiguous examples and, past the first conv layer's input, no layer
 transposes another's records.  A layer's errors inherit its records' order,
 since numpy's elementwise results follow their inputs' memory order.  A dense
-net stores every record (B, T, units), as it reads.  `infer` follows the same
-rule through the same `run_layer`: the layers forward stores examples-first
-run whole-T as in forward, and from the first conv layer on (at B > 1) it
-steps `run_layer` through time, one step per call, carrying one examples-last
-membrane per layer, so every GEMM it makes is one that forward makes.
+net stores every record (B, T, units), as it reads.  `infer` is forward's
+layer loop with no record kept: each layer runs `run_layer` over all T steps,
+as in forward, and only its spikes live on, as the next layer's input.
 """
 
 from __future__ import annotations
@@ -372,8 +370,7 @@ def _stored_examples_last(record: Array) -> bool:
 
 
 def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
-              smooth: bool = False, u: Array | None = None
-              ) -> tuple[Array, Array, Array | None]:
+              smooth: bool = False) -> tuple[Array, Array, Array | None]:
     """One layer over all T steps of its inputs (B, T, *input_shape).
 
     The synaptic current of every step is one GEMM, written into the
@@ -383,13 +380,11 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
     where cols, (T, fan_in, P*B), is a conv layer's im2col of its input and a
     dense layer's input view.  Other dense layers form it as one GEMM
     over the B*T input rows.  The LIF loop is the engine's one recurrence:
-    decay, integrate, fire at >= theta, subtract the reset, in place on the
-    membrane u, (B, *output_shape); u=None starts it at zero, in the
-    record's memory order, and a given u is advanced in place, so that
-    `infer` can run one step at a time and carry it to the next.
-    smooth=True only swaps the hard threshold for soft_spike.  Returns the
-    spikes and post-reset membranes, (B, T, *output_shape) each, and the
-    cols (None for a dense layer stored examples-first).
+    decay, integrate, fire at >= theta, subtract the reset, in place on one
+    membrane, (B, *output_shape), that starts at zero in the record's memory
+    order.  smooth=True only swaps the hard threshold for soft_spike.
+    Returns the spikes and post-reset membranes, (B, T, *output_shape) each,
+    and the cols (None for a dense layer stored examples-first).
     """
     b, t_steps = inputs.shape[:2]
     cols = None
@@ -406,8 +401,7 @@ def run_layer(spec: LayerSpec, w: Array, inputs: Array, cfg: NeuronConfig,
                   out=u_store.reshape(t_steps, w.shape[0], -1))
         u_rec = np.moveaxis(u_store, -1, 0)
     o_rec = np.empty_like(u_rec)
-    if u is None:
-        u = np.zeros_like(u_rec[:, 0])
+    u = np.zeros_like(u_rec[:, 0])
     reset = np.empty_like(u)
     for t in range(t_steps):
         u *= cfg.decay
@@ -516,38 +510,18 @@ def infer(net: Network, encoded_input: Array, cfg: NeuronConfig) -> Array:
     from a pass that keeps no record: (batch, classes) mean output spike
     counts over T.  The input passes `check_data` (with no labels).
 
-    It follows forward's layout rule and runs every layer through
-    `run_layer`.  Layers that forward stores examples-first (the dense
-    layers before the first conv layer, and every layer at batch 1) run
-    whole-T, as in forward, keeping only their spikes for the next layer:
-    one GEMM over all B*T rows is forward's own, and a GEMM over one step's
-    B rows can round otherwise.  From the first conv layer on, the pass is
-    time-major: at each step every layer runs `run_layer` on that one step,
-    advancing its own examples-last membrane, and hands its spikes to the
-    next layer; the last layer's spikes add to a count.  So every GEMM is
-    one that forward makes, and the pass holds one step's working set, not
-    B*T records."""
-    check_data(net, encoded_input, None, cfg)
-    batch, t_steps = np.shape(encoded_input)[:2]
-    kinds = [spec.kind for spec in net.specs]
-    head = kinds.index("conv2d") if "conv2d" in kinds and batch > 1 else len(net)
-    x = encoded_input
-    if head:
-        x = np.ascontiguousarray(x, dtype=net.dtype)
-        for spec, w in net.layers[:head]:
-            x = run_layer(spec, w, x, cfg)[0]
-        if head == len(net):
-            return x.reshape(batch, t_steps, -1).mean(axis=1)
-    layers = net.layers[head:]
-    membranes = [np.moveaxis(np.zeros(spec.output_shape + (batch,), net.dtype),
-                             -1, 0) for spec, _ in layers]
-    count = np.zeros((batch, 1) + net.specs[-1].output_shape, net.dtype)
-    for t in range(t_steps):
-        o = np.asarray(x[:, t:t + 1], dtype=net.dtype)
-        for (spec, w), u in zip(layers, membranes):
-            o = run_layer(spec, w, o, cfg, u=u)[0]
-        count += o
-    return count.reshape(batch, -1) / t_steps
+    It is forward's layer loop: the batch is cast as forward casts it, and
+    each layer runs `run_layer` over all T steps on the previous layer's
+    spikes, so the logits come from the same calls on the same arrays.  Only
+    the spikes live on: each layer's membranes and columns are dropped as
+    soon as it returns, so the pass holds one layer's B*T records and its
+    input, not every layer's."""
+    x = np.ascontiguousarray(encoded_input, dtype=net.dtype)
+    check_data(net, x, None, cfg)
+    batch, t_steps = x.shape[0], x.shape[1]
+    for spec, w in net.layers:
+        x = run_layer(spec, w, x, cfg)[0]
+    return x.reshape(batch, t_steps, -1).mean(axis=1)
 
 
 def backward_bptt(net: Network, trace: ForwardTrace, loss: LossOutput,

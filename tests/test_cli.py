@@ -92,6 +92,13 @@ class TestConfig:
         path = write_config(tmp_path, "\n# note\ntrain.batch = 16  # inline\n")
         assert parse_config(path, [])["train.batch"] == 16
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """A `#` starts a comment only at a line's start or after whitespace."""
+        path = write_config(tmp_path, "out.weights = run#2.npz   # second run\n"
+                                      "out.report = r.txt\t# tab before\n")
+        cfg = parse_config(path, [])
+        assert (cfg["out.weights"], cfg["out.report"]) == ("run#2.npz", "r.txt")
+
     def test_every_key_is_read(self):
         """A key the program never reads would be accepted and ignored."""
         package = Path(sadp.__file__).parent
@@ -211,6 +218,21 @@ class TestTrainCommand:
         nb = load_weights(str(b / "w.npz"))
         for wa, wb in zip(na.weights, nb.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    @pytest.mark.parametrize("key", ["out.metrics", "out.weights"])
+    @pytest.mark.parametrize("where", ["nodir/f", ""])
+    def test_unwritable_output_fails_before_training(self, tmp_path, capsys,
+                                                     monkeypatch, key, where):
+        """An output path in a missing directory, or naming a directory,
+        exits 2 with one error line naming its key, before the run."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("trained before checking the output paths")
+        monkeypatch.setattr(cli, "run_training", no_run)
+        path = f"{tmp_path}/{where}"
+        args = train_args(tmp_path, tmp_path) + ["-o", f"{key}={path}"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {key} ")
 
     def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "net.arch = dense:4\n")
@@ -666,6 +688,12 @@ class TestGenDataCommand:
         assert handle.time_steps == 3
         assert handle.input_shape == (12,)
 
+    def test_path_in_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        args = ["gen-data", "-o", f"dataset.path={tmp_path}/nodir/d.spkt",
+                "-o", "dataset.synthetic.n=50"]
+        assert main(args) == EXIT_USAGE
+        assert "cannot write dataset.path" in capsys.readouterr().err
+
     def test_requires_path_and_count(self, tmp_path, capsys):
         assert main(["gen-data"]) == EXIT_USAGE
         assert main(["gen-data", "-o", f"dataset.path={tmp_path}/x.spkt"]) == EXIT_USAGE
@@ -705,6 +733,19 @@ class TestAnalyzeCommand:
         report = (tmp_path / "r.txt").read_text()
         for name in ("spike_aware", "loss", "uniform"):
             assert name in report
+
+    def test_report_in_a_missing_directory_fails_before_the_oracle(
+            self, tmp_path, capsys, monkeypatch):
+        common = self.trained(tmp_path, capsys)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("analyzed before checking out.report")
+        monkeypatch.setattr(oracle, "exact_grad_norms", no_run)
+        args = ["analyze"] + common + ["-o", f"out.report={tmp_path}/nodir/r.txt"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write out.report {tmp_path}/nodir/r.txt: no "
+            f"directory {tmp_path}/nodir"]
 
     def test_leaves_the_training_metrics_alone(self, tmp_path, capsys):
         """train and analyze of one config share out.metrics; analyze writes
@@ -911,6 +952,13 @@ class TestVerifyCommand:
         assert [line.split(":")[0] for line in lines] == \
             expected + [f"ALL CHECKS PASSED ({n}/{n})"]
         assert not (tmp_path / "m.csv").exists()
+
+    def test_report_in_a_missing_directory_fails_before_the_checks(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", {})
+        assert main(["verify", "-o", f"out.report={tmp_path}/nodir/r.txt"]) \
+            == EXIT_USAGE
+        assert "cannot write out.report" in capsys.readouterr().err
 
     def test_monte_carlo_checks_share_one_run(self, monkeypatch):
         """Both Monte-Carlo checks read one 20,000-draw run per seed."""

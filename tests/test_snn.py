@@ -8,6 +8,7 @@ from sadp import snn
 from sadp.data import DatasetHandle
 from sadp.oracle import _im2col as im2col_nchw
 from sadp.oracle import exact_grad_norms, per_example_gradients
+from sadp.pruning import spike_aware_score
 from sadp.snn import (LayerSpec, NeuronConfig, Network, ShapeError,
                       backward_bptt, forward, im2col, parse_arch, patch_count,
                       run_layer, soft_spike, surrogate_grad)
@@ -416,35 +417,6 @@ class TestEngine:
         np.testing.assert_array_equal(im2col(examples_first, kernel, stride, pad),
                                       cols)
 
-    @pytest.mark.parametrize("smooth", [False, True])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("layer, examples_last", [
-        (("dense", (12,), 5), False), (("conv2d", (2, 9, 9), 4, 3, 2, 1), False),
-        (("dense", (4, 5, 5), 4), True)], ids=[
-            "dense examples-first", "conv s2p1", "dense examples-last"])
-    def test_one_step_calls_carrying_the_membrane_match_one_call(
-            self, layer, examples_last, dtype, smooth):
-        """run_layer over T steps equals T one-step calls that advance one
-        given membrane in place, bit for bit, and that membrane ends as the
-        last post-reset one.  Weights are multiples of 1/8 on 0/1 inputs, so
-        every current is exact whatever the shape of its GEMM."""
-        rng = np.random.default_rng(6)
-        spec = LayerSpec(*layer)
-        w = (rng.integers(-8, 9, spec.weight_shape) / 8).astype(dtype)
-        cfg = make_cfg(decay=0.6, threshold=0.5, time_steps=4)
-        x = (rng.random((7, 4) + spec.input_shape) < 0.5).astype(dtype)
-        if examples_last:
-            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
-        o, u_rec, cols = run_layer(spec, w, x, cfg, smooth)
-        assert (cols is None) == (spec.kind == "dense" and not examples_last)
-        assert 0.0 < o.mean() < 1.0
-        u = np.zeros((7,) + spec.output_shape, dtype)
-        for t in range(4):
-            o_t, u_t, _ = run_layer(spec, w, x[:, t:t + 1], cfg, smooth, u)
-            np.testing.assert_array_equal(o_t[:, 0], o[:, t])
-            np.testing.assert_array_equal(u_t[:, 0], u_rec[:, t])
-        np.testing.assert_array_equal(u, u_rec[:, -1])
-
     def test_one_im2col_per_conv_layer_and_none_in_weight_grads(self, monkeypatch):
         counts = {"im2col": 0}
 
@@ -471,7 +443,8 @@ class TestEngine:
 
 class TestInfer:
     """infer, the record-free inference pass, gives forward's logits bit for
-    bit, and evaluate through it holds one step's working set."""
+    bit, and evaluate through it, EVAL_BATCH examples at a time, peaks below
+    one training step."""
 
     NETS = {
         "dense": [("dense", (12,), 20), ("dense", (20,), 4)],
@@ -510,30 +483,35 @@ class TestInfer:
         with pytest.raises(ShapeError, match="^batch has 3 time steps"):
             snn.infer(net, np.zeros((2, 3, 1, 6, 6)), make_cfg(time_steps=2))
 
-    def test_evaluate_peak_is_a_fraction_of_one_forward(self):
-        """Under tracemalloc, evaluate over three slices of a conv set at
-        T = 8 peaks below 0.3 of one forward on an EVAL_BATCH slice.  The
-        bound comes from four other conv nets: 0.15-0.18 at T = 6-10 and
-        0.38 at T = 3; evaluate through forward read 1.95-1.99."""
-        net = Network.from_arch("conv:6x3x3s2p1,conv:6x3x3p1,dense:4",
-                                (2, 10, 10), seed=7, init_scale=2.0
-                                ).astype(np.float32)
-        cfg = make_cfg(threshold=0.5, time_steps=8)
+    def test_evaluate_peaks_below_one_training_step(self):
+        """Under tracemalloc, evaluate over three slices of a set, on the
+        benchmark's conv net (conv:8x3x3p1,conv:8x3x3,dense:10 on 8x8 inputs,
+        T = 8, float32), peaks below one B = 32 training step (forward,
+        backward, weight_grads and score).  At EVAL_BATCH = 48 it reads
+        0.83; at 64 it would read 1.10."""
+        net = Network.from_arch("conv:8x3x3p1,conv:8x3x3,dense:10", (1, 8, 8),
+                                seed=0).astype(np.float32)
+        cfg = make_cfg(decay=0.1, threshold=0.5, time_steps=8)
         rng = np.random.default_rng(7)
-        n = 2 * EVAL_BATCH + 5
-        x = (rng.random((n, 8, 2, 10, 10)) < 0.4).view(np.uint8)
-        labels = rng.integers(0, 4, n)
+        n, b = 2 * EVAL_BATCH + 5, 32
+        x = (rng.random((n, 8, 1, 8, 8)) < 0.4).view(np.uint8)
+        labels = rng.integers(0, 10, n)
         handle = DatasetHandle(x, labels, time_steps=8)
+
+        def one_step():
+            trace, loss = forward(net, x[:b], labels[:b], cfg)
+            bt = backward_bptt(net, trace, loss, cfg)
+            bt.weight_grads(np.ones(b))
+            spike_aware_score(bt, (len(net) - 1,))
         peaks = []
-        for run in (lambda: forward(net, x[:EVAL_BATCH], labels[:EVAL_BATCH], cfg),
-                    lambda: evaluate(net, handle, cfg)):
+        for run in (one_step, lambda: evaluate(net, handle, cfg)):
             tracemalloc.start()
             try:
                 run()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 0.3 * peaks[0]
+        assert peaks[1] < peaks[0]
 
 
 class TestPatchCount:
@@ -670,7 +648,7 @@ class TestPrecision:
     def test_evaluate_matches_forward_on_a_conv_net(self, dtype):
         """evaluate's batches of EVAL_BATCH, the last one partial,
         score as forward's logits over the whole set do."""
-        n = 2 * EVAL_BATCH + 13
+        n = 141  # fixed data, on which the precondition below holds
         net = Network.from_arch("conv:4x3x3p1,conv:4x3x3,dense:4", (2, 6, 6),
                                 seed=3, init_scale=2.0).astype(dtype)
         cfg = make_cfg(threshold=0.5, time_steps=3)
