@@ -99,9 +99,8 @@ def evaluate(net: Network, handle: DatasetHandle, cfg: NeuronConfig) -> float:
     """Classification accuracy on a pre-encoded dataset, in net's dtype: the
     argmax of `infer`'s logits (forward's layer loop, with no record kept),
     EVAL_BATCH examples at a time, once the whole dataset passes
-    `check_data`.  Each chunk runs every layer over all T steps, so a conv
-    net's evaluate peaks at one chunk's largest layer records, below one
-    training step's working set."""
+    `check_data`.  Each chunk runs every layer over all T steps, so evaluate
+    peaks at one chunk's largest layer records, not at every layer's."""
     check_data(net, handle.data, handle.labels, cfg, "dataset")
     correct = 0
     for start in range(0, handle.n, EVAL_BATCH):
