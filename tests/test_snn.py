@@ -417,6 +417,48 @@ class TestEngine:
         np.testing.assert_array_equal(im2col(examples_first, kernel, stride, pad),
                                       cols)
 
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer, examples_last", [
+        (("dense", (12,), 5), False), (("conv2d", (2, 9, 9), 4, 3, 2, 1), False),
+        (("dense", (4, 5, 5), 4), True)], ids=[
+            "dense examples-first", "conv s2p1", "dense examples-last"])
+    def test_run_layer_matches_a_step_by_step_reference(
+            self, layer, examples_last, dtype, smooth):
+        """run_layer over T steps equals a plain loop of LIF steps, each
+        step's current formed on its own, bit for bit, and stores its records
+        examples-last exactly where it returns cols.  Weights are multiples
+        of 1/8 on 0/1 inputs, so every current is exact whatever the shape
+        of its GEMM."""
+        rng = np.random.default_rng(6)
+        spec = LayerSpec(*layer)
+        w = (rng.integers(-8, 9, spec.weight_shape) / 8).astype(dtype)
+        cfg = make_cfg(decay=0.6, threshold=0.5, time_steps=4)
+        x = (rng.random((7, 4) + spec.input_shape) < 0.5).astype(dtype)
+        if examples_last:
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+        o, u_rec, cols = run_layer(spec, w, x, cfg, smooth)
+        stored_last = spec.kind == "conv2d" or examples_last
+        assert (cols is None) == (not stored_last)
+        for record in (o, u_rec):
+            assert record.dtype == dtype
+            stored = np.moveaxis(record, 0, -1) if stored_last else record
+            assert stored.flags.c_contiguous, record.strides
+        assert 0.0 < o.mean() < 1.0
+        u = np.zeros((7,) + spec.output_shape, dtype)
+        for t in range(4):
+            if spec.kind == "dense":
+                current = x[:, t].reshape(7, -1) @ w.T
+            else:
+                current = (w.reshape(spec.units, -1) @ im2col_nchw(
+                    x[:, t], spec.kernel_size, spec.stride, spec.padding))
+            u = u * cfg.decay + current.reshape(u.shape)
+            o_t = soft_spike(u, cfg) if smooth else \
+                (u >= cfg.threshold).astype(dtype)
+            u = u - o_t * cfg.threshold
+            np.testing.assert_array_equal(o[:, t], o_t)
+            np.testing.assert_array_equal(u_rec[:, t], u)
+
     def test_one_im2col_per_conv_layer_and_none_in_weight_grads(self, monkeypatch):
         counts = {"im2col": 0}
 
