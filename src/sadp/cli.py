@@ -177,8 +177,12 @@ def save_weights(net: Network, arch: str, input_shape, path: str) -> None:
 
 def load_weights(path: str) -> Network:
     """The net a save_weights file holds, built once from its arrays, which
-    must be exactly arch, input_shape and w0 .. w{L-1}."""
-    with _reading("weights", path), np.load(path) as z:
+    must be exactly arch, input_shape and w0 .. w{L-1}.  The file is
+    opened here, so it is closed on every path."""
+    with _reading("weights", path), open(path, "rb") as fh:
+        z = np.load(fh)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
         arch = str(z["arch"])
         shape = z["input_shape"]
         if shape.ndim != 1 or shape.dtype.kind not in "iu":

@@ -82,7 +82,7 @@ def parse_config(path: str | None = None,
     Lines are `key = value`; a `#` at the start of a line or after
     whitespace starts a comment, so a value may hold one (`run#2.npz`);
     unknown keys are rejected, and so are a time-step count or an input size
-    below 1.
+    below 1 and a negative seed.init.
     """
     values = {k: d for k, (_, d) in KNOWN_KEYS.items()}
     pairs: list[tuple[str, str]] = []
@@ -122,9 +122,10 @@ def parse_config(path: str | None = None,
         values["prune.beta"] = default_beta(values["prune.ratio"])
     if values["encode.mode"] not in ("direct", "rate"):
         raise UsageError("encode.mode must be direct or rate")
-    for key in ("dataset.synthetic.t", "dataset.synthetic.dim"):
-        if values[key] < 1:
-            raise UsageError(f"invalid config: {key} must be >= 1, "
+    for key, least in (("dataset.synthetic.t", 1), ("dataset.synthetic.dim", 1),
+                       ("seed.init", 0)):
+        if values[key] < least:
+            raise UsageError(f"invalid config: {key} must be >= {least}, "
                              f"got {values[key]}")
     return values
 

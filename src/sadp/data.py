@@ -37,7 +37,6 @@ class DatasetHandle:
     data: Array
     labels: Array
     time_steps: int
-    prototypes: Array | None = None
 
     @property
     def n(self) -> int:
@@ -139,8 +138,8 @@ def encode(values: Array, mode: str, time_steps: int,
             (uint8 0/1).
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise RangeError("input values must lie in [0, 1]")
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise RangeError("input values must lie in [0, 1]")  # so NaN fails too
     shape = (values.shape[0], time_steps) + values.shape[1:]
     if mode == "direct":
         return np.broadcast_to(values[:, None], shape)
@@ -165,9 +164,9 @@ def gen_synthetic(classes: int, n: int, time_steps: int, dim: int, noise: float,
                   seed: int | np.random.SeedSequence = 0) -> DatasetHandle:
     """Random binary prototype patterns with independent bit flips.
 
-    Each class gets a (T, dim) Bernoulli(0.5) prototype; every example copies
-    its class prototype with each bit flipped with probability `noise`.  Data
-    and prototypes are uint8 0/1.
+    Each class gets a (T, dim) Bernoulli(0.5) prototype, drawn first; every
+    example copies its class prototype with each bit flipped with probability
+    `noise`.  The data is uint8 0/1.
     """
     if classes < 2 or n < classes:
         raise ValueError("need at least 2 classes and n >= classes")
@@ -180,8 +179,7 @@ def gen_synthetic(classes: int, n: int, time_steps: int, dim: int, noise: float,
     for start in range(0, n, FLIP_BLOCK):
         block = data[start:start + FLIP_BLOCK]
         block ^= rng.random(block.shape) < noise
-    return DatasetHandle(data=data, labels=labels, time_steps=time_steps,
-                         prototypes=protos)
+    return DatasetHandle(data=data, labels=labels, time_steps=time_steps)
 
 
 def gen_synthetic_split(classes: int, n_train: int, n_test: int, time_steps: int,
@@ -190,9 +188,9 @@ def gen_synthetic_split(classes: int, n_train: int, n_test: int, time_steps: int
     """Train/test pair drawn from one shared set of prototypes."""
     full = gen_synthetic(classes, n_train + n_test, time_steps, dim, noise, seed)
     train = DatasetHandle(full.data[:n_train], full.labels[:n_train],
-                          time_steps=time_steps, prototypes=full.prototypes)
+                          time_steps=time_steps)
     test = DatasetHandle(full.data[n_train:], full.labels[n_train:],
-                         time_steps=time_steps, prototypes=full.prototypes)
+                         time_steps=time_steps)
     return train, test
 
 
@@ -253,16 +251,3 @@ def read_spike_file(path: str) -> DatasetHandle:
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
     return DatasetHandle(data=payload.reshape(dims), labels=labels,
                          time_steps=dims[1])
-
-
-def nearest_prototype_accuracy(handle: DatasetHandle) -> float:
-    """Hamming nearest-prototype classification accuracy (brute force),
-    counting mismatched entries, since uint8 differences wrap."""
-    if handle.prototypes is None:
-        raise ValueError("handle carries no prototypes")
-    n = handle.n
-    flat = handle.data.reshape(n, -1)
-    protos = handle.prototypes.reshape(handle.prototypes.shape[0], -1)
-    dists = (flat[:, None, :] != protos[None, :, :]).sum(axis=2)
-    pred = dists.argmin(axis=1)
-    return float((pred == handle.labels).mean())

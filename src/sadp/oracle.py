@@ -64,8 +64,7 @@ class GradNormReport:
         the full gradient norm."""
         return CorrelationReport(
             score_vs_norm=pearson(self.all_layer_scores, self.full_norms),
-            loss_vs_norm=pearson(self.losses, self.full_norms),
-            sample_size=self.full_norms.size)
+            loss_vs_norm=pearson(self.losses, self.full_norms))
 
 
 @dataclass
@@ -80,7 +79,6 @@ class MCStats:
 class CorrelationReport:
     score_vs_norm: float
     loss_vs_norm: float
-    sample_size: int
 
 
 def _im2col(x: Array, kernel: int, stride: int, padding: int) -> Array:

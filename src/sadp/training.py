@@ -59,6 +59,9 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if min(self.seed_sample, self.seed_shuffle) < 0:
+            raise ValueError(f"seeds must be >= 0, got seed_sample "
+                             f"{self.seed_sample}, seed_shuffle {self.seed_shuffle}")
 
 
 def sgd_step(weights: list[Array], grads: list[Array], buffers: list[Array],

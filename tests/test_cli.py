@@ -234,6 +234,22 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {key} ")
 
+    @pytest.mark.parametrize("extra, message", [
+        ("seed.sample = -1\nprune.enabled = true\n",
+         "seeds must be >= 0, got seed_sample -1, seed_shuffle 2"),
+        ("seed.shuffle = -1\n",
+         "seeds must be >= 0, got seed_sample 1, seed_shuffle -1"),
+        ("seed.init = -1\n", "seed.init must be >= 0, got -1")],
+        ids=["seed.sample", "seed.shuffle", "seed.init"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, extra,
+                                          message):
+        """A negative seed exits 2 with one error line naming it, before
+        the run writes anything."""
+        assert self.run_train(tmp_path, extra) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: invalid config: {message}"]
+        assert not (tmp_path / "m.csv").exists()
+
     def test_missing_dataset_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "net.arch = dense:4\n")
         assert main(["train", "-c", cfg]) == EXIT_USAGE
@@ -701,13 +717,18 @@ class TestGenDataCommand:
     def test_data_draws_do_not_share_the_weight_stream(self):
         """seed.init seeds the weights and, through a stream of its own, the
         data: layer 0's weight signs do not follow the prototype bits, as
-        they would if both drew from default_rng(seed.init)."""
+        they would if both drew from default_rng(seed.init).  Each class
+        prototype is recovered as the majority bit of its class's 200 noisy
+        (noise 0.1) training examples."""
         cfg = parse_config(None, ["dataset.synthetic.n=200",
                                   "dataset.synthetic.dim=64",
                                   "net.arch=dense:64,dense:10"])
         train, _ = load_dataset(cfg)
+        classes = cfg["dataset.synthetic.classes"]
+        protos = np.stack([train.data[train.labels == c].mean(axis=0) > 0.5
+                           for c in range(classes)])
         w0 = cli.build_network(cfg, train).weights[0].ravel()
-        bits = train.prototypes.ravel()[:w0.size] == 1.0
+        bits = protos.ravel()[:w0.size]
         assert float(np.mean((w0 < 0) == bits)) < 0.6
 
 
@@ -877,20 +898,24 @@ class TestAnalyzeCommand:
             "got 1"]
         assert not (tmp_path / "r.txt").exists()
 
-    @pytest.mark.parametrize("case", ["junk", "bad-zip", "no-w0", "nan",
-                                      "2-d-shape", "fractional-shape",
+    @pytest.mark.parametrize("case", ["junk", "bad-zip", "npy", "no-w0",
+                                      "nan", "2-d-shape", "fractional-shape",
                                       "complex", "extra-w2"])
     def test_malformed_weights_file_is_usage_error(self, tmp_path, capsys,
                                                     case):
         """Weights read from a file pass the checks of every Network's
         weights, so a NaN or complex weight, too, ends in one error line; an
-        input shape that is not a 1-D integer array is not cut to one, and
-        an array beyond the arch's layers is not ignored."""
+        input shape that is not a 1-D integer array is not cut to one, an
+        array beyond the arch's layers is not ignored, and a file that is not
+        an .npz archive (one np.save array) is refused."""
         path = tmp_path / "w.npz"
         if case == "junk":
             path.write_bytes(b"\x93junk!!!")
         elif case == "bad-zip":
             path.write_bytes(b"PK\x03\x04garbage")
+        elif case == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
         elif case == "no-w0":
             np.savez(path, arch=np.array("dense:12,dense:4"),
                      input_shape=np.array([16]))
@@ -959,6 +984,16 @@ class TestVerifyCommand:
         assert main(["verify", "-o", f"out.report={tmp_path}/nodir/r.txt"]) \
             == EXIT_USAGE
         assert "cannot write out.report" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """A negative seed.init is rejected with the config, before any
+        check runs."""
+        monkeypatch.setattr(verify, "CHECKS", {})
+        assert main(["verify", "-o", "seed.init=-1",
+                     "-o", f"out.report={tmp_path}/r.txt"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid config: seed.init must be >= 0, got -1"]
+        assert not (tmp_path / "r.txt").exists()
 
     def test_monte_carlo_checks_share_one_run(self, monkeypatch):
         """Both Monte-Carlo checks read one 20,000-draw run per seed."""

@@ -8,8 +8,7 @@ import pytest
 from sadp import data as data_module
 from sadp.data import (DatasetHandle, FormatError, RangeError, MetricsRow,
                        METRICS_HEADER, atomic_write_bytes, encode, gen_synthetic,
-                       gen_synthetic_split, load_idx,
-                       nearest_prototype_accuracy, read_spike_file,
+                       gen_synthetic_split, load_idx, read_spike_file,
                        write_metrics, write_spike_file)
 
 
@@ -120,31 +119,29 @@ class TestEncode:
         assert encode(np.zeros((0, 2, 2)), mode, 3).shape == (0, 3, 2, 2)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(RangeError):
-            encode(np.array([[1.5]]), "direct", 2)
+        """A value above 1, and NaN, which fails every comparison, in both
+        modes."""
+        for values in ([[1.5]], [[0.5, np.nan]]):
+            for mode in ("direct", "rate"):
+                with pytest.raises(RangeError):
+                    encode(np.array(values), mode, 2)
 
 
 class TestSynthetic:
     def test_zero_noise_equals_prototype(self):
+        """At noise 0 every example is its class prototype, so it equals the
+        first example of its class."""
         h = gen_synthetic(3, 12, 4, 10, 0.0, seed=0)
-        assert h.data.dtype == h.prototypes.dtype == np.uint8
+        assert h.data.dtype == np.uint8
         for i in range(12):
-            np.testing.assert_array_equal(h.data[i], h.prototypes[h.labels[i]])
+            first = np.flatnonzero(h.labels == h.labels[i])[0]
+            np.testing.assert_array_equal(h.data[i], h.data[first])
 
     def test_deterministic_per_seed(self):
         a = gen_synthetic(4, 20, 3, 8, 0.1, seed=7)
         b = gen_synthetic(4, 20, 3, 8, 0.1, seed=7)
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_nearest_prototype_accuracy(self):
-        h = gen_synthetic(10, 500, 8, 64, 0.05, seed=3)
-        acc = nearest_prototype_accuracy(h)
-        assert acc > 0.9
-        # Mismatches are counted, so uint8's wrapping difference cannot enter.
-        wide = DatasetHandle(h.data.astype(np.float64), h.labels, h.time_steps,
-                             h.prototypes.astype(np.float64))
-        assert nearest_prototype_accuracy(wide) == acc
 
     def test_flips_drawn_in_blocks(self, monkeypatch):
         """The bit flips are drawn FLIP_BLOCK examples at a time: the peak
@@ -161,17 +158,25 @@ class TestSynthetic:
         monkeypatch.setattr(data_module, "FLIP_BLOCK", 2500)
         whole = gen_synthetic(10, 2500, 8, 64, 0.2)
         np.testing.assert_array_equal(h.data, whole.data)
-        np.testing.assert_array_equal(h.prototypes, whole.prototypes)
 
-    def test_accuracy_decreases_with_noise(self):
-        accs = [nearest_prototype_accuracy(gen_synthetic(6, 400, 6, 32, rho, seed=5))
-                for rho in (0.05, 0.2, 0.35, 0.45)]
-        assert all(a >= b - 0.02 for a, b in zip(accs, accs[1:]))
-        assert accs[0] > accs[-1]
+    @pytest.mark.parametrize("rho", [0.05, 0.2, 0.35, 0.45])
+    def test_bits_flip_with_probability_noise(self, rho):
+        """A noise-rho set and its noise-0 twin draw the same prototypes from
+        one stream, so they differ exactly in the flipped bits: a fraction
+        within 4 sigma of rho."""
+        noisy = gen_synthetic(6, 400, 6, 32, rho, seed=5)
+        clean = gen_synthetic(6, 400, 6, 32, 0.0, seed=5)
+        bits = noisy.data.size
+        flipped = np.count_nonzero(noisy.data != clean.data) / bits
+        assert abs(flipped - rho) < 4 * np.sqrt(rho * (1 - rho) / bits)
 
     def test_split_shares_prototypes(self):
-        train, test = gen_synthetic_split(5, 50, 20, 4, 16, 0.1, seed=1)
-        np.testing.assert_array_equal(train.prototypes, test.prototypes)
+        """At noise 0 every test example equals the training examples of its
+        class: both halves copy one set of prototypes."""
+        train, test = gen_synthetic_split(5, 50, 20, 4, 16, 0.0, seed=1)
+        for x, y in zip(test.data, test.labels):
+            for twin in train.data[train.labels == y]:
+                np.testing.assert_array_equal(x, twin)
         assert train.n == 50 and test.n == 20
         for h in (train, test):
             assert h.data.dtype == np.uint8

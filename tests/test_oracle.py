@@ -381,4 +381,3 @@ class TestMeasureCorrelations:
         rep = exact_grad_norms(net, x, y, cfg, (0, 1)).correlations()
         assert -1.0 <= rep.score_vs_norm <= 1.0
         assert -1.0 <= rep.loss_vs_norm <= 1.0
-        assert rep.sample_size == 64
